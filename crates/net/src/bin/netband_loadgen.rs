@@ -310,6 +310,31 @@ fn round4(v: f64) -> f64 {
     (v * 10_000.0).round() / 10_000.0
 }
 
+/// First line of `program args`' output, or `unknown` — for the machine
+/// fingerprint recorded next to the numbers.
+fn command_line(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(|l| l.trim().to_owned()))
+        .unwrap_or_else(|| "unknown".into())
+}
+
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 fn report_json(args: &Args, results: &[CellResult]) -> Json {
     Json::Object(vec![
         ("bench".into(), Json::String("net_loadgen".into())),
@@ -327,6 +352,12 @@ fn report_json(args: &Args, results: &[CellResult]) -> Json {
                     .map(|n| n.get() as u64)
                     .unwrap_or(1),
             ),
+        ),
+        ("cpu_model".into(), Json::String(cpu_model())),
+        ("rustc".into(), Json::String(command_line("rustc", &["-V"]))),
+        (
+            "git_rev".into(),
+            Json::String(command_line("git", &["describe", "--always", "--dirty"])),
         ),
         (
             "results".into(),

@@ -75,6 +75,8 @@ pub struct NetClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     max_frame_bytes: usize,
+    /// Every request is encoded into this one buffer, reused call to call.
+    request: String,
 }
 
 impl NetClient {
@@ -87,6 +89,7 @@ impl NetClient {
             reader: BufReader::new(reader_stream),
             writer: BufWriter::new(stream),
             max_frame_bytes: MAX_FRAME_BYTES,
+            request: String::new(),
         })
     }
 
@@ -94,7 +97,9 @@ impl NetClient {
     /// *frames* come back as `Ok(WireResponse::Error { .. })`; the typed
     /// convenience wrappers below turn them into [`NetError::Server`].
     pub fn call(&mut self, request: &WireRequest) -> Result<WireResponse, NetError> {
-        write_frame(&mut self.writer, &request.to_json_text())?;
+        self.request.clear();
+        request.write_json(&mut self.request);
+        write_frame(&mut self.writer, &self.request)?;
         let text = read_frame(&mut self.reader, self.max_frame_bytes)?
             .ok_or(NetError::ConnectionClosed)?;
         WireResponse::from_json_text(&text).map_err(NetError::Decode)

@@ -57,13 +57,20 @@ impl From<io::Error> for FrameError {
 }
 
 /// Writes one frame (length prefix + payload) and flushes.
+///
+/// Prefix and payload go down in **one** `write_all` of a single buffer.
+/// Two calls would let a payload too big for a `BufWriter`'s spare capacity
+/// push the 4-byte prefix out in a write of its own — a separate syscall,
+/// and under `TCP_NODELAY` a separate packet.
 pub fn write_frame(writer: &mut impl Write, payload: &str) -> Result<(), FrameError> {
     let len = u32::try_from(payload.len()).map_err(|_| FrameError::TooLarge {
         len: payload.len(),
         max: u32::MAX as usize,
     })?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -153,6 +160,41 @@ mod tests {
         buf.truncate(buf.len() - 2);
         let err = read_frame(&mut Cursor::new(buf), 1024).unwrap_err();
         assert!(matches!(err, FrameError::Io(_)), "{err:?}");
+    }
+
+    /// Counts the writes that reach the wrapped writer.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_reaches_the_socket_in_one_write() {
+        let payload = "x".repeat(20 * 1024);
+        let mut writer = io::BufWriter::new(CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        });
+        write_frame(&mut writer, &payload).unwrap();
+        let inner = writer.get_ref();
+        assert_eq!(inner.writes, 1, "prefix and payload must share one write");
+        assert_eq!(&inner.bytes[..4], &(20u32 * 1024).to_be_bytes());
+        assert_eq!(&inner.bytes[4..], payload.as_bytes());
+        // A small frame is buffered whole and flushed in one write too.
+        write_frame(&mut writer, "{}").unwrap();
+        assert_eq!(writer.get_ref().writes, 2);
     }
 
     #[test]

@@ -31,8 +31,7 @@ use std::time::Duration;
 use netband_serve::api::RegisterTenantSpec;
 use netband_serve::api::{DecideReply, ServeError};
 use netband_serve::{ServeClient, ServeEngine};
-use netband_spec::json::parse;
-use netband_spec::wire::{request_from_json, WireErrorCode, WireRequest, WireResponse};
+use netband_spec::wire::{WireErrorCode, WireRequest, WireResponse};
 
 use crate::frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 use crate::obs::NetStats;
@@ -226,6 +225,8 @@ fn connection_loop(
     let mut writer = BufWriter::new(stream);
     let mut client = engine.client();
     let mut scratch: Vec<Result<DecideReply, ServeError>> = Vec::new();
+    // Every response is encoded into this one buffer, reused frame to frame.
+    let mut out = String::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -240,7 +241,9 @@ fn connection_loop(
                     code: WireErrorCode::TooLarge,
                     message: format!("frame of {len} bytes exceeds the {max}-byte cap"),
                 };
-                let _ = write_frame(&mut writer, &response.to_json_text());
+                out.clear();
+                response.write_json(&mut out);
+                let _ = write_frame(&mut writer, &out);
                 return;
             }
             Err(_) => return, // reset, truncated frame, or shutdown kick
@@ -263,12 +266,13 @@ fn connection_loop(
             }
             _ => {}
         }
-        let reply_text = response.to_json_text();
-        if write_frame(&mut writer, &reply_text).is_err() {
+        out.clear();
+        response.write_json(&mut out);
+        if write_frame(&mut writer, &out).is_err() {
             return;
         }
         stats.frames_out.fetch_add(1, Relaxed);
-        stats.bytes_out.fetch_add(reply_text.len() as u64, Relaxed);
+        stats.bytes_out.fetch_add(out.len() as u64, Relaxed);
     }
 }
 
@@ -290,7 +294,7 @@ fn handle_request(
     config: &ServerConfig,
     text: &str,
 ) -> WireResponse {
-    let request = match parse(text).and_then(|v| request_from_json(&v)) {
+    let request = match WireRequest::from_json_text(text) {
         Ok(request) => request,
         Err(e) => {
             return WireResponse::Error {

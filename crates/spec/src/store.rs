@@ -11,10 +11,17 @@
 //!   or future-format file fails loudly instead of half-restoring a tenant;
 //! * **numeric exactness** — every `f64` (estimator means, window rings,
 //!   regret traces, reward sums) travels as a shortest round-trip lexeme
-//!   ([`Json::from_f64`]) and re-parses bit-identically, which is what lets
-//!   crash recovery resume the exact learning trajectory;
+//!   ([`Json::from_f64`](crate::json::Json::from_f64)'s bytes) and
+//!   re-parses bit-identically, which is what lets crash recovery resume the
+//!   exact learning trajectory;
 //! * **no new dependencies** — the hand-rolled [`crate::json`] codec over
 //!   `std` only.
+//!
+//! Like the wire documents, these are written and read by the streaming
+//! codec, without a tree: a `feedback` record is one wire event body behind
+//! a tenant and a round, written and read by the same event codec as a
+//! `feedback_many` window. Only the embedded [`ScenarioSpec`] is read as a
+//! tree.
 //!
 //! Framing (length prefixes, CRCs, fsync batching, torn-tail handling) is
 //! storage business and lives in `netband-store`; this module is just the
@@ -35,13 +42,11 @@
 
 use netband_core::PolicyState;
 
-use crate::codec::{
-    get_f64, get_str, get_u64, scenario_from_json, scenario_to_json, tag_of, tagged, Obj,
-};
+use crate::codec::{scenario_from_json, scenario_to_json};
 use crate::error::SpecError;
-use crate::json::{parse, Json};
+use crate::json::{required, write_array, write_bool, write_f64, write_string, write_u64, Reader};
 use crate::model::ScenarioSpec;
-use crate::wire::{event_from_json, event_to_json, WireEvent};
+use crate::wire::{read_event, read_round_event, write_event, write_round_event, WireEvent};
 
 /// Version stamp of the durable-state document format. Bump when a field
 /// changes meaning; decoding any other version is a hard error
@@ -196,200 +201,166 @@ pub enum WalRecord {
 }
 
 // ---------------------------------------------------------------------------
-// scalar helpers on top of the codec's strict-object reader
+// scalar helpers
 // ---------------------------------------------------------------------------
 
-fn get_bool(value: &Json, ctx: &'static str) -> Result<bool, SpecError> {
-    value.as_bool().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: format!("expected a boolean, got {}", value.to_text()),
-    })
+fn write_u64s(out: &mut String, values: &[u64]) {
+    write_array(out, values, |out, &v| write_u64(out, v));
 }
 
-fn u64_array_json(values: &[u64]) -> Json {
-    Json::Array(values.iter().map(|&v| Json::from_u64(v)).collect())
+fn write_f64s(out: &mut String, values: &[f64]) {
+    write_array(out, values, |out, &v| write_f64(out, v));
 }
 
-fn f64_array_json(values: &[f64]) -> Json {
-    Json::Array(values.iter().map(|&v| Json::from_f64(v)).collect())
+fn read_u64s(r: &mut Reader<'_>, ctx: &'static str) -> Result<Vec<u64>, SpecError> {
+    r.array(ctx, |r| r.u64(ctx))
 }
 
-fn get_u64_array(value: &Json, ctx: &'static str) -> Result<Vec<u64>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of non-negative integers".into(),
-    })?;
-    items.iter().map(|item| get_u64(item, ctx)).collect()
+fn read_f64s(r: &mut Reader<'_>, ctx: &'static str) -> Result<Vec<f64>, SpecError> {
+    r.array(ctx, |r| r.f64(ctx))
 }
 
-fn get_f64_array(value: &Json, ctx: &'static str) -> Result<Vec<f64>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of numbers".into(),
-    })?;
-    items.iter().map(|item| get_f64(item, ctx)).collect()
-}
-
-fn nested_u64_json(rows: &[Vec<u64>]) -> Json {
-    Json::Array(rows.iter().map(|row| u64_array_json(row)).collect())
-}
-
-fn nested_f64_json(rows: &[Vec<f64>]) -> Json {
-    Json::Array(rows.iter().map(|row| f64_array_json(row)).collect())
-}
-
-fn get_nested_u64(value: &Json, ctx: &'static str) -> Result<Vec<Vec<u64>>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of integer arrays".into(),
-    })?;
-    items.iter().map(|item| get_u64_array(item, ctx)).collect()
-}
-
-fn get_nested_f64(value: &Json, ctx: &'static str) -> Result<Vec<Vec<f64>>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of number arrays".into(),
-    })?;
-    items.iter().map(|item| get_f64_array(item, ctx)).collect()
-}
-
-fn rng_json(words: &[u64; 4]) -> Json {
-    u64_array_json(words)
-}
-
-fn get_rng(value: &Json, ctx: &'static str) -> Result<[u64; 4], SpecError> {
-    let words = get_u64_array(value, ctx)?;
+fn read_rng(r: &mut Reader<'_>, ctx: &'static str) -> Result<[u64; 4], SpecError> {
+    let words = read_u64s(r, ctx)?;
     <[u64; 4]>::try_from(words).map_err(|words| SpecError::Invalid {
         context: ctx,
         message: format!("rng state must be 4 words, got {}", words.len()),
     })
 }
 
-fn check_version(found: u64) -> Result<(), SpecError> {
+/// Reads a document's `version` and rejects any but [`STORE_VERSION`] on
+/// the spot, before the rest of the document is looked at.
+fn read_version(r: &mut Reader<'_>, ctx: &'static str) -> Result<u64, SpecError> {
+    let found = r.u64(ctx)?;
     if found != STORE_VERSION {
         return Err(SpecError::UnsupportedVersion {
             found,
             supported: STORE_VERSION,
         });
     }
-    Ok(())
+    Ok(found)
 }
 
 // ---------------------------------------------------------------------------
 // PolicyState
 // ---------------------------------------------------------------------------
 
-/// Encodes a policy's learned-state bag. The `rng` key is omitted entirely
+/// Appends a policy's learned-state bag. The `rng` key is omitted entirely
 /// (not emitted as `null`) when the policy keeps no generator, so re-encoding
 /// a decoded document is byte-identical.
-pub fn policy_state_to_json(state: &PolicyState) -> Json {
-    let mut fields = vec![
-        ("counts".into(), nested_u64_json(&state.counts)),
-        ("floats".into(), nested_f64_json(&state.floats)),
-        ("windows".into(), nested_f64_json(&state.windows)),
-    ];
+fn write_policy_state(out: &mut String, state: &PolicyState) {
+    out.push_str(r#"{"counts":"#);
+    write_array(out, &state.counts, |out, row| write_u64s(out, row));
+    out.push_str(r#","floats":"#);
+    write_array(out, &state.floats, |out, row| write_f64s(out, row));
+    out.push_str(r#","windows":"#);
+    write_array(out, &state.windows, |out, row| write_f64s(out, row));
     if let Some(rng) = &state.rng {
-        fields.push(("rng".into(), rng_json(rng)));
+        out.push_str(r#","rng":"#);
+        write_u64s(out, rng);
     }
-    Json::Object(fields)
+    out.push('}');
 }
 
 /// Decodes a policy's learned-state bag (strict).
-pub fn policy_state_from_json(value: &Json) -> Result<PolicyState, SpecError> {
+fn read_policy_state(r: &mut Reader<'_>) -> Result<PolicyState, SpecError> {
     const CTX: &str = "PolicyState";
-    let mut obj = Obj::new(value, CTX)?;
-    let state = PolicyState {
-        counts: get_nested_u64(obj.req("counts")?, CTX)?,
-        floats: get_nested_f64(obj.req("floats")?, CTX)?,
-        windows: get_nested_f64(obj.req("windows")?, CTX)?,
-        rng: obj.opt("rng").map(|v| get_rng(v, CTX)).transpose()?,
-    };
-    obj.finish()?;
-    Ok(state)
+    let (mut counts, mut floats, mut windows, mut rng) = (None, None, None, None);
+    r.object(CTX, |r, key| match key {
+        "counts" => r.field(key, &mut counts, |r| r.array(CTX, |r| read_u64s(r, CTX))),
+        "floats" => r.field(key, &mut floats, |r| r.array(CTX, |r| read_f64s(r, CTX))),
+        "windows" => r.field(key, &mut windows, |r| r.array(CTX, |r| read_f64s(r, CTX))),
+        "rng" => r.field(key, &mut rng, |r| r.nullable(|r| read_rng(r, CTX))),
+        _ => Ok(false),
+    })?;
+    Ok(PolicyState {
+        counts: required(counts, CTX, "counts")?,
+        floats: required(floats, CTX, "floats")?,
+        windows: required(windows, CTX, "windows")?,
+        rng: rng.flatten(),
+    })
 }
 
 // ---------------------------------------------------------------------------
 // StoredTenantMetrics
 // ---------------------------------------------------------------------------
 
-fn metrics_to_json(metrics: &StoredTenantMetrics) -> Json {
-    Json::Object(vec![
-        ("decides".into(), Json::from_u64(metrics.decides)),
-        (
-            "feedback_events".into(),
-            Json::from_u64(metrics.feedback_events),
-        ),
-        (
-            "batches_flushed".into(),
-            Json::from_u64(metrics.batches_flushed),
-        ),
-        (
-            "events_applied".into(),
-            Json::from_u64(metrics.events_applied),
-        ),
-        ("max_batch".into(), Json::from_u64(metrics.max_batch)),
-    ])
+fn write_metrics(out: &mut String, metrics: &StoredTenantMetrics) {
+    out.push_str(r#"{"decides":"#);
+    write_u64(out, metrics.decides);
+    out.push_str(r#","feedback_events":"#);
+    write_u64(out, metrics.feedback_events);
+    out.push_str(r#","batches_flushed":"#);
+    write_u64(out, metrics.batches_flushed);
+    out.push_str(r#","events_applied":"#);
+    write_u64(out, metrics.events_applied);
+    out.push_str(r#","max_batch":"#);
+    write_u64(out, metrics.max_batch);
+    out.push('}');
 }
 
-fn metrics_from_json(value: &Json) -> Result<StoredTenantMetrics, SpecError> {
+fn read_metrics(r: &mut Reader<'_>) -> Result<StoredTenantMetrics, SpecError> {
     const CTX: &str = "StoredTenantMetrics";
-    let mut obj = Obj::new(value, CTX)?;
-    let metrics = StoredTenantMetrics {
-        decides: get_u64(obj.req("decides")?, CTX)?,
-        feedback_events: get_u64(obj.req("feedback_events")?, CTX)?,
-        batches_flushed: get_u64(obj.req("batches_flushed")?, CTX)?,
-        events_applied: get_u64(obj.req("events_applied")?, CTX)?,
-        max_batch: get_u64(obj.req("max_batch")?, CTX)?,
-    };
-    obj.finish()?;
-    Ok(metrics)
+    let (mut decides, mut feedback_events, mut batches_flushed) = (None, None, None);
+    let (mut events_applied, mut max_batch) = (None, None);
+    r.object(CTX, |r, key| match key {
+        "decides" => r.field(key, &mut decides, |r| r.u64(CTX)),
+        "feedback_events" => r.field(key, &mut feedback_events, |r| r.u64(CTX)),
+        "batches_flushed" => r.field(key, &mut batches_flushed, |r| r.u64(CTX)),
+        "events_applied" => r.field(key, &mut events_applied, |r| r.u64(CTX)),
+        "max_batch" => r.field(key, &mut max_batch, |r| r.u64(CTX)),
+        _ => Ok(false),
+    })?;
+    Ok(StoredTenantMetrics {
+        decides: required(decides, CTX, "decides")?,
+        feedback_events: required(feedback_events, CTX, "feedback_events")?,
+        batches_flushed: required(batches_flushed, CTX, "batches_flushed")?,
+        events_applied: required(events_applied, CTX, "events_applied")?,
+        max_batch: required(max_batch, CTX, "max_batch")?,
+    })
 }
 
 // ---------------------------------------------------------------------------
 // StoredTenantSnapshot
 // ---------------------------------------------------------------------------
 
-/// Encodes one tenant's durable state.
-pub fn snapshot_to_json(snapshot: &StoredTenantSnapshot) -> Json {
-    Json::Object(vec![
-        ("version".into(), Json::from_u64(snapshot.version)),
-        ("id".into(), Json::String(snapshot.id.clone())),
-        ("scenario".into(), scenario_to_json(&snapshot.scenario)),
-        ("round".into(), Json::from_u64(snapshot.round)),
-        ("optimal_sum".into(), Json::from_f64(snapshot.optimal_sum)),
-        ("total_reward".into(), Json::from_f64(snapshot.total_reward)),
-        (
-            "flush_max_pending".into(),
-            Json::from_u64(snapshot.flush_max_pending),
-        ),
-        (
-            "flush_before_decide".into(),
-            Json::Bool(snapshot.flush_before_decide),
-        ),
-        ("auto_feedback".into(), Json::Bool(snapshot.auto_feedback)),
-        ("echo_feedback".into(), Json::Bool(snapshot.echo_feedback)),
-        ("rng".into(), rng_json(&snapshot.rng)),
-        ("policy".into(), policy_state_to_json(&snapshot.policy)),
-        ("realised".into(), f64_array_json(&snapshot.realised)),
-        ("pseudo".into(), f64_array_json(&snapshot.pseudo)),
-        (
-            "pending".into(),
-            Json::Array(
-                snapshot
-                    .pending
-                    .iter()
-                    .map(|(round, event)| {
-                        Json::Object(vec![
-                            ("round".into(), Json::from_u64(*round)),
-                            ("event".into(), event_to_json(event)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("metrics".into(), metrics_to_json(&snapshot.metrics)),
-    ])
+/// Appends one tenant's durable state.
+fn write_snapshot(out: &mut String, snapshot: &StoredTenantSnapshot) {
+    out.push_str(r#"{"version":"#);
+    write_u64(out, snapshot.version);
+    out.push_str(r#","id":"#);
+    write_string(&snapshot.id, out);
+    out.push_str(r#","scenario":"#);
+    scenario_to_json(&snapshot.scenario).write(out);
+    out.push_str(r#","round":"#);
+    write_u64(out, snapshot.round);
+    out.push_str(r#","optimal_sum":"#);
+    write_f64(out, snapshot.optimal_sum);
+    out.push_str(r#","total_reward":"#);
+    write_f64(out, snapshot.total_reward);
+    out.push_str(r#","flush_max_pending":"#);
+    write_u64(out, snapshot.flush_max_pending);
+    out.push_str(r#","flush_before_decide":"#);
+    write_bool(out, snapshot.flush_before_decide);
+    out.push_str(r#","auto_feedback":"#);
+    write_bool(out, snapshot.auto_feedback);
+    out.push_str(r#","echo_feedback":"#);
+    write_bool(out, snapshot.echo_feedback);
+    out.push_str(r#","rng":"#);
+    write_u64s(out, &snapshot.rng);
+    out.push_str(r#","policy":"#);
+    write_policy_state(out, &snapshot.policy);
+    out.push_str(r#","realised":"#);
+    write_f64s(out, &snapshot.realised);
+    out.push_str(r#","pseudo":"#);
+    write_f64s(out, &snapshot.pseudo);
+    out.push_str(r#","pending":"#);
+    write_array(out, &snapshot.pending, |out, (round, event)| {
+        write_round_event(out, *round, event)
+    });
+    out.push_str(r#","metrics":"#);
+    write_metrics(out, &snapshot.metrics);
+    out.push('}');
 }
 
 /// Decodes one tenant's durable state (strict). Beyond schema checks, the
@@ -398,51 +369,57 @@ pub fn snapshot_to_json(snapshot: &StoredTenantSnapshot) -> Json {
 /// truncated trace array inside an otherwise valid document) still fails
 /// loudly: the regret trace must hold exactly one entry per served round,
 /// and every pending event must quote a served round.
-pub fn snapshot_from_json(value: &Json) -> Result<StoredTenantSnapshot, SpecError> {
+fn read_snapshot(r: &mut Reader<'_>) -> Result<StoredTenantSnapshot, SpecError> {
     const CTX: &str = "StoredTenantSnapshot";
-    let mut obj = Obj::new(value, CTX)?;
-    // The version gate comes first so documents from a future schema fail
-    // with `UnsupportedVersion` before any stricter field check confuses
-    // the matter.
-    let version = get_u64(obj.req("version")?, CTX)?;
-    check_version(version)?;
-    let id = get_str(obj.req("id")?, CTX)?.to_owned();
-    let scenario = Box::new(scenario_from_json(obj.req("scenario")?)?);
-    let round = get_u64(obj.req("round")?, CTX)?;
+    let (mut version, mut id, mut scenario, mut round) = (None, None, None, None);
+    let (mut optimal_sum, mut total_reward, mut flush_max_pending) = (None, None, None);
+    let (mut flush_before_decide, mut auto_feedback, mut echo_feedback) = (None, None, None);
+    let (mut rng, mut policy, mut realised, mut pseudo) = (None, None, None, None);
+    let (mut pending, mut metrics) = (None, None);
+    r.object(CTX, |r, key| match key {
+        // The canonical encoding leads with the version, so a document from
+        // a future schema fails with `UnsupportedVersion` before any stricter
+        // field check confuses the matter.
+        "version" => r.field(key, &mut version, |r| read_version(r, CTX)),
+        "id" => r.field(key, &mut id, |r| r.string_owned(CTX)),
+        "scenario" => r.field(key, &mut scenario, |r| {
+            scenario_from_json(&r.tree()?).map(Box::new)
+        }),
+        "round" => r.field(key, &mut round, |r| r.u64(CTX)),
+        "optimal_sum" => r.field(key, &mut optimal_sum, |r| r.f64(CTX)),
+        "total_reward" => r.field(key, &mut total_reward, |r| r.f64(CTX)),
+        "flush_max_pending" => r.field(key, &mut flush_max_pending, |r| r.u64(CTX)),
+        "flush_before_decide" => r.field(key, &mut flush_before_decide, |r| r.bool(CTX)),
+        "auto_feedback" => r.field(key, &mut auto_feedback, |r| r.bool(CTX)),
+        "echo_feedback" => r.field(key, &mut echo_feedback, |r| r.bool(CTX)),
+        "rng" => r.field(key, &mut rng, |r| read_rng(r, CTX)),
+        "policy" => r.field(key, &mut policy, read_policy_state),
+        "realised" => r.field(key, &mut realised, |r| read_f64s(r, CTX)),
+        "pseudo" => r.field(key, &mut pseudo, |r| read_f64s(r, CTX)),
+        "pending" => r.field(key, &mut pending, |r| {
+            r.array(CTX, |r| read_round_event(r, "stored pending entry"))
+        }),
+        "metrics" => r.field(key, &mut metrics, read_metrics),
+        _ => Ok(false),
+    })?;
     let snapshot = StoredTenantSnapshot {
-        version,
-        id,
-        scenario,
-        round,
-        optimal_sum: get_f64(obj.req("optimal_sum")?, CTX)?,
-        total_reward: get_f64(obj.req("total_reward")?, CTX)?,
-        flush_max_pending: get_u64(obj.req("flush_max_pending")?, CTX)?,
-        flush_before_decide: get_bool(obj.req("flush_before_decide")?, CTX)?,
-        auto_feedback: get_bool(obj.req("auto_feedback")?, CTX)?,
-        echo_feedback: get_bool(obj.req("echo_feedback")?, CTX)?,
-        rng: get_rng(obj.req("rng")?, CTX)?,
-        policy: policy_state_from_json(obj.req("policy")?)?,
-        realised: get_f64_array(obj.req("realised")?, CTX)?,
-        pseudo: get_f64_array(obj.req("pseudo")?, CTX)?,
-        pending: {
-            let items = obj.req("pending")?.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "expected an array of pending feedback entries".into(),
-            })?;
-            items
-                .iter()
-                .map(|item| {
-                    let mut entry = Obj::new(item, "stored pending entry")?;
-                    let round = get_u64(entry.req("round")?, "stored pending entry")?;
-                    let event = event_from_json(entry.req("event")?)?;
-                    entry.finish()?;
-                    Ok((round, event))
-                })
-                .collect::<Result<Vec<_>, SpecError>>()?
-        },
-        metrics: metrics_from_json(obj.req("metrics")?)?,
+        version: required(version, CTX, "version")?,
+        id: required(id, CTX, "id")?,
+        scenario: required(scenario, CTX, "scenario")?,
+        round: required(round, CTX, "round")?,
+        optimal_sum: required(optimal_sum, CTX, "optimal_sum")?,
+        total_reward: required(total_reward, CTX, "total_reward")?,
+        flush_max_pending: required(flush_max_pending, CTX, "flush_max_pending")?,
+        flush_before_decide: required(flush_before_decide, CTX, "flush_before_decide")?,
+        auto_feedback: required(auto_feedback, CTX, "auto_feedback")?,
+        echo_feedback: required(echo_feedback, CTX, "echo_feedback")?,
+        rng: required(rng, CTX, "rng")?,
+        policy: required(policy, CTX, "policy")?,
+        realised: required(realised, CTX, "realised")?,
+        pseudo: required(pseudo, CTX, "pseudo")?,
+        pending: required(pending, CTX, "pending")?,
+        metrics: required(metrics, CTX, "metrics")?,
     };
-    obj.finish()?;
     let served = usize::try_from(snapshot.round).map_err(|_| SpecError::Invalid {
         context: CTX,
         message: format!("round {} exceeds the platform's usize", snapshot.round),
@@ -476,38 +453,29 @@ pub fn snapshot_from_json(value: &Json) -> Result<StoredTenantSnapshot, SpecErro
 // ShardSnapshot
 // ---------------------------------------------------------------------------
 
-/// Encodes a shard checkpoint.
-pub fn shard_snapshot_to_json(snapshot: &ShardSnapshot) -> Json {
-    Json::Object(vec![
-        ("version".into(), Json::from_u64(snapshot.version)),
-        ("epoch".into(), Json::from_u64(snapshot.epoch)),
-        (
-            "tenants".into(),
-            Json::Array(snapshot.tenants.iter().map(snapshot_to_json).collect()),
-        ),
-    ])
+fn write_shard_snapshot(out: &mut String, snapshot: &ShardSnapshot) {
+    out.push_str(r#"{"version":"#);
+    write_u64(out, snapshot.version);
+    out.push_str(r#","epoch":"#);
+    write_u64(out, snapshot.epoch);
+    out.push_str(r#","tenants":"#);
+    write_array(out, &snapshot.tenants, write_snapshot);
+    out.push('}');
 }
 
-/// Decodes a shard checkpoint (strict).
-pub fn shard_snapshot_from_json(value: &Json) -> Result<ShardSnapshot, SpecError> {
+fn read_shard_snapshot(r: &mut Reader<'_>) -> Result<ShardSnapshot, SpecError> {
     const CTX: &str = "ShardSnapshot";
-    let mut obj = Obj::new(value, CTX)?;
-    let version = get_u64(obj.req("version")?, CTX)?;
-    check_version(version)?;
-    let epoch = get_u64(obj.req("epoch")?, CTX)?;
-    let items = obj.req("tenants")?.as_array().ok_or(SpecError::Invalid {
-        context: CTX,
-        message: "expected an array of tenant snapshots".into(),
+    let (mut version, mut epoch, mut tenants) = (None, None, None);
+    r.object(CTX, |r, key| match key {
+        "version" => r.field(key, &mut version, |r| read_version(r, CTX)),
+        "epoch" => r.field(key, &mut epoch, |r| r.u64(CTX)),
+        "tenants" => r.field(key, &mut tenants, |r| r.array(CTX, read_snapshot)),
+        _ => Ok(false),
     })?;
-    let tenants = items
-        .iter()
-        .map(snapshot_from_json)
-        .collect::<Result<Vec<_>, SpecError>>()?;
-    obj.finish()?;
     Ok(ShardSnapshot {
-        version,
-        epoch,
-        tenants,
+        version: required(version, CTX, "version")?,
+        epoch: required(epoch, CTX, "epoch")?,
+        tenants: required(tenants, CTX, "tenants")?,
     })
 }
 
@@ -515,8 +483,7 @@ pub fn shard_snapshot_from_json(value: &Json) -> Result<ShardSnapshot, SpecError
 // WalRecord
 // ---------------------------------------------------------------------------
 
-/// Encodes one WAL record.
-pub fn wal_record_to_json(record: &WalRecord) -> Json {
+fn write_wal_record(out: &mut String, record: &WalRecord) {
     match record {
         WalRecord::Register {
             id,
@@ -525,90 +492,133 @@ pub fn wal_record_to_json(record: &WalRecord) -> Json {
             flush_before_decide,
             auto_feedback,
             echo_feedback,
-        } => tagged(
-            "register",
-            vec![
-                ("id".into(), Json::String(id.clone())),
-                ("scenario".into(), scenario_to_json(scenario)),
-                (
-                    "flush_max_pending".into(),
-                    Json::from_u64(*flush_max_pending),
-                ),
-                (
-                    "flush_before_decide".into(),
-                    Json::Bool(*flush_before_decide),
-                ),
-                ("auto_feedback".into(), Json::Bool(*auto_feedback)),
-                ("echo_feedback".into(), Json::Bool(*echo_feedback)),
-            ],
-        ),
-        WalRecord::Restore { snapshot } => tagged(
-            "restore",
-            vec![("snapshot".into(), snapshot_to_json(snapshot))],
-        ),
-        WalRecord::Decide { tenant, count } => tagged(
-            "decide",
-            vec![
-                ("tenant".into(), Json::String(tenant.clone())),
-                ("count".into(), Json::from_u64(*count)),
-            ],
-        ),
+        } => {
+            out.push_str(r#"{"type":"register","id":"#);
+            write_string(id, out);
+            out.push_str(r#","scenario":"#);
+            scenario_to_json(scenario).write(out);
+            out.push_str(r#","flush_max_pending":"#);
+            write_u64(out, *flush_max_pending);
+            out.push_str(r#","flush_before_decide":"#);
+            write_bool(out, *flush_before_decide);
+            out.push_str(r#","auto_feedback":"#);
+            write_bool(out, *auto_feedback);
+            out.push_str(r#","echo_feedback":"#);
+            write_bool(out, *echo_feedback);
+        }
+        WalRecord::Restore { snapshot } => {
+            out.push_str(r#"{"type":"restore","snapshot":"#);
+            write_snapshot(out, snapshot);
+        }
+        WalRecord::Decide { tenant, count } => {
+            out.push_str(r#"{"type":"decide","tenant":"#);
+            write_string(tenant, out);
+            out.push_str(r#","count":"#);
+            write_u64(out, *count);
+        }
         WalRecord::Feedback {
             tenant,
             round,
             event,
-        } => tagged(
-            "feedback",
-            vec![
-                ("tenant".into(), Json::String(tenant.clone())),
-                ("round".into(), Json::from_u64(*round)),
-                ("event".into(), event_to_json(event)),
-            ],
-        ),
-        WalRecord::Flush { tenant } => tagged(
-            "flush",
-            vec![("tenant".into(), Json::String(tenant.clone()))],
-        ),
-        WalRecord::Removed { tenant } => tagged(
-            "removed",
-            vec![("tenant".into(), Json::String(tenant.clone()))],
-        ),
-        WalRecord::Drain => tagged("drain", Vec::new()),
+        } => {
+            out.push_str(r#"{"type":"feedback","tenant":"#);
+            write_string(tenant, out);
+            out.push_str(r#","round":"#);
+            write_u64(out, *round);
+            out.push_str(r#","event":"#);
+            write_event(out, event);
+        }
+        WalRecord::Flush { tenant } => {
+            out.push_str(r#"{"type":"flush","tenant":"#);
+            write_string(tenant, out);
+        }
+        WalRecord::Removed { tenant } => {
+            out.push_str(r#"{"type":"removed","tenant":"#);
+            write_string(tenant, out);
+        }
+        WalRecord::Drain => out.push_str(r#"{"type":"drain""#),
     }
+    out.push('}');
 }
 
-/// Decodes one WAL record (strict).
-pub fn wal_record_from_json(value: &Json) -> Result<WalRecord, SpecError> {
+fn read_wal_record(r: &mut Reader<'_>) -> Result<WalRecord, SpecError> {
     const CTX: &str = "WalRecord";
-    let mut obj = Obj::new(value, CTX)?;
-    let record = match tag_of(&mut obj)? {
-        "register" => WalRecord::Register {
-            id: get_str(obj.req("id")?, CTX)?.to_owned(),
-            scenario: Box::new(scenario_from_json(obj.req("scenario")?)?),
-            flush_max_pending: get_u64(obj.req("flush_max_pending")?, CTX)?,
-            flush_before_decide: get_bool(obj.req("flush_before_decide")?, CTX)?,
-            auto_feedback: get_bool(obj.req("auto_feedback")?, CTX)?,
-            echo_feedback: get_bool(obj.req("echo_feedback")?, CTX)?,
-        },
-        "restore" => WalRecord::Restore {
-            snapshot: Box::new(snapshot_from_json(obj.req("snapshot")?)?),
-        },
-        "decide" => WalRecord::Decide {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-            count: get_u64(obj.req("count")?, CTX)?,
-        },
-        "feedback" => WalRecord::Feedback {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-            round: get_u64(obj.req("round")?, CTX)?,
-            event: event_from_json(obj.req("event")?)?,
-        },
-        "flush" => WalRecord::Flush {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-        },
-        "removed" => WalRecord::Removed {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-        },
-        "drain" => WalRecord::Drain,
+    let tag = r.tag(CTX)?;
+    let (mut id, mut scenario, mut flush_max_pending) = (None, None, None);
+    let (mut flush_before_decide, mut auto_feedback, mut echo_feedback) = (None, None, None);
+    let (mut snapshot, mut tenant, mut count, mut round, mut event) =
+        (None, None, None, None, None);
+    let record = match &*tag {
+        "register" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "id" => r.field(key, &mut id, |r| r.string_owned(CTX)),
+                "scenario" => r.field(key, &mut scenario, |r| {
+                    scenario_from_json(&r.tree()?).map(Box::new)
+                }),
+                "flush_max_pending" => r.field(key, &mut flush_max_pending, |r| r.u64(CTX)),
+                "flush_before_decide" => r.field(key, &mut flush_before_decide, |r| r.bool(CTX)),
+                "auto_feedback" => r.field(key, &mut auto_feedback, |r| r.bool(CTX)),
+                "echo_feedback" => r.field(key, &mut echo_feedback, |r| r.bool(CTX)),
+                _ => Ok(false),
+            })?;
+            WalRecord::Register {
+                id: required(id, CTX, "id")?,
+                scenario: required(scenario, CTX, "scenario")?,
+                flush_max_pending: required(flush_max_pending, CTX, "flush_max_pending")?,
+                flush_before_decide: required(flush_before_decide, CTX, "flush_before_decide")?,
+                auto_feedback: required(auto_feedback, CTX, "auto_feedback")?,
+                echo_feedback: required(echo_feedback, CTX, "echo_feedback")?,
+            }
+        }
+        "restore" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "snapshot" => r.field(key, &mut snapshot, |r| read_snapshot(r).map(Box::new)),
+                _ => Ok(false),
+            })?;
+            WalRecord::Restore {
+                snapshot: required(snapshot, CTX, "snapshot")?,
+            }
+        }
+        "decide" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "tenant" => r.field(key, &mut tenant, |r| r.string_owned(CTX)),
+                "count" => r.field(key, &mut count, |r| r.u64(CTX)),
+                _ => Ok(false),
+            })?;
+            WalRecord::Decide {
+                tenant: required(tenant, CTX, "tenant")?,
+                count: required(count, CTX, "count")?,
+            }
+        }
+        "feedback" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "tenant" => r.field(key, &mut tenant, |r| r.string_owned(CTX)),
+                "round" => r.field(key, &mut round, |r| r.u64(CTX)),
+                "event" => r.field(key, &mut event, read_event),
+                _ => Ok(false),
+            })?;
+            WalRecord::Feedback {
+                tenant: required(tenant, CTX, "tenant")?,
+                round: required(round, CTX, "round")?,
+                event: required(event, CTX, "event")?,
+            }
+        }
+        "flush" | "removed" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "tenant" => r.field(key, &mut tenant, |r| r.string_owned(CTX)),
+                _ => Ok(false),
+            })?;
+            let tenant = required(tenant, CTX, "tenant")?;
+            if &*tag == "flush" {
+                WalRecord::Flush { tenant }
+            } else {
+                WalRecord::Removed { tenant }
+            }
+        }
+        "drain" => {
+            r.tagged_object(CTX, |_, _| Ok(false))?;
+            WalRecord::Drain
+        }
         other => {
             return Err(SpecError::UnknownVariant {
                 context: CTX,
@@ -616,7 +626,6 @@ pub fn wal_record_from_json(value: &Json) -> Result<WalRecord, SpecError> {
             })
         }
     };
-    obj.finish()?;
     Ok(record)
 }
 
@@ -624,39 +633,57 @@ pub fn wal_record_from_json(value: &Json) -> Result<WalRecord, SpecError> {
 // text entry points
 // ---------------------------------------------------------------------------
 
+/// Encodes `value` with `write` into a fresh string.
+fn encode<T: ?Sized>(value: &T, write: fn(&mut String, &T)) -> String {
+    let mut out = String::new();
+    write(&mut out, value);
+    out
+}
+
+/// Decodes a whole document with `read`; trailing characters are an error.
+fn decode<T>(
+    text: &str,
+    read: fn(&mut Reader<'_>) -> Result<T, SpecError>,
+) -> Result<T, SpecError> {
+    let mut reader = Reader::new(text);
+    let value = read(&mut reader)?;
+    reader.end()?;
+    Ok(value)
+}
+
 impl StoredTenantSnapshot {
     /// Encodes the snapshot to a compact JSON document.
     pub fn to_json_text(&self) -> String {
-        snapshot_to_json(self).to_text()
+        encode(self, write_snapshot)
     }
 
     /// Decodes a snapshot from JSON text (strict).
     pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        snapshot_from_json(&parse(text)?)
+        decode(text, read_snapshot)
     }
 }
 
 impl ShardSnapshot {
     /// Encodes the checkpoint to a compact JSON document.
     pub fn to_json_text(&self) -> String {
-        shard_snapshot_to_json(self).to_text()
+        encode(self, write_shard_snapshot)
     }
 
     /// Decodes a checkpoint from JSON text (strict).
     pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        shard_snapshot_from_json(&parse(text)?)
+        decode(text, read_shard_snapshot)
     }
 }
 
 impl WalRecord {
     /// Encodes the record to a compact JSON document.
     pub fn to_json_text(&self) -> String {
-        wal_record_to_json(self).to_text()
+        encode(self, write_wal_record)
     }
 
     /// Decodes a record from JSON text (strict).
     pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        wal_record_from_json(&parse(text)?)
+        decode(text, read_wal_record)
     }
 }
 
@@ -811,12 +838,10 @@ mod tests {
             windows: vec![],
             rng: None,
         };
-        let text = policy_state_to_json(&state).to_text();
+        let mut text = String::new();
+        write_policy_state(&mut text, &state);
         assert!(!text.contains("rng"), "{text}");
-        assert_eq!(
-            policy_state_from_json(&parse(&text).unwrap()).unwrap(),
-            state
-        );
+        assert_eq!(decode(&text, read_policy_state).unwrap(), state);
     }
 
     #[test]

@@ -8,11 +8,27 @@
 //!   duplicate keys are hard errors (a typo'd request fails loudly instead of
 //!   silently decoding to something else);
 //! * **numeric exactness** — `f64` rewards travel as shortest round-trip
-//!   lexemes ([`Json::from_f64`]) and therefore arrive bit-identical, which
-//!   is what lets `tests/net_equivalence.rs` hold a TCP client to the golden
-//!   DFL traces bit for bit;
+//!   lexemes ([`Json::from_f64`](crate::json::Json::from_f64)'s bytes) and
+//!   therefore arrive bit-identical, which is what lets
+//!   `tests/net_equivalence.rs` hold a TCP client to the golden DFL traces
+//!   bit for bit;
 //! * **no new dependencies** — the same hand-rolled [`crate::json`] codec,
 //!   over `std` only.
+//!
+//! These are the hot documents — every served decision crosses the codec
+//! twice — so they never become a [`Json`](crate::json::Json) tree. The
+//! writer appends each document straight into a caller-owned `String`
+//! ([`WireRequest::write_json`], [`WireResponse::write_json`]); the reader
+//! is schema-driven over borrowed lexemes: it reads each number once and
+//! copies a string only when it holds escapes. Only a `register_tenant`'s
+//! `scenario` value is read as a tree and handed to the spec decoder.
+//!
+//! The decode contract: keys may come in any order (the `"type"` tag
+//! included), whitespace may sit between any two tokens, keys may be
+//! escaped (`"\u0074ype"`), and `"feedback": null` reads like an omitted
+//! `feedback`. Duplicate keys at any level, unknown fields and tags,
+//! non-finite numbers (`1e400`), integer fields given as `1.0` or `-0`, a
+//! `count` above `u32`, and bytes after the document are all errors.
 //!
 //! One request document maps to exactly one response document. Framing
 //! (length prefixes, size limits, connection lifecycle) is transport business
@@ -33,11 +49,9 @@
 
 use netband_env::{CombinatorialFeedback, SinglePlayFeedback};
 
-use crate::codec::{
-    get_f64, get_str, get_u64, get_usize, scenario_from_json, scenario_to_json, tag_of, tagged, Obj,
-};
+use crate::codec::{scenario_from_json, scenario_to_json};
 use crate::error::SpecError;
-use crate::json::{parse, Json};
+use crate::json::{required, write_array, write_bool, write_f64, write_string, write_u64, Reader};
 use crate::model::ScenarioSpec;
 use crate::ArmId;
 
@@ -307,237 +321,279 @@ impl std::fmt::Display for WireErrorCode {
 impl WireRequest {
     /// Encodes the request to a compact JSON document.
     pub fn to_json_text(&self) -> String {
-        request_to_json(self).to_text()
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the request's compact JSON document to `out` — the same bytes
+    /// as [`WireRequest::to_json_text`], into a buffer the caller reuses.
+    pub fn write_json(&self, out: &mut String) {
+        write_request(out, self);
     }
 
     /// Decodes a request from JSON text (strict: unknown fields are errors).
     pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        request_from_json(&parse(text)?)
+        let mut reader = Reader::new(text);
+        let request = read_request(&mut reader)?;
+        reader.end()?;
+        Ok(request)
     }
 }
 
 impl WireResponse {
     /// Encodes the response to a compact JSON document.
     pub fn to_json_text(&self) -> String {
-        response_to_json(self).to_text()
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the response's compact JSON document to `out` — the same
+    /// bytes as [`WireResponse::to_json_text`], into a buffer the caller
+    /// reuses.
+    pub fn write_json(&self, out: &mut String) {
+        write_response(out, self);
     }
 
     /// Decodes a response from JSON text (strict: unknown fields are errors).
     pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        response_from_json(&parse(text)?)
+        let mut reader = Reader::new(text);
+        let response = read_response(&mut reader)?;
+        reader.end()?;
+        Ok(response)
     }
 }
 
-// ---------------------------------------------------------------------------
-// scalar helpers on top of the codec's strict-object reader
-// ---------------------------------------------------------------------------
-
-fn get_u32(value: &Json, ctx: &'static str) -> Result<u32, SpecError> {
-    let v = get_u64(value, ctx)?;
-    u32::try_from(v).map_err(|_| SpecError::Invalid {
-        context: ctx,
-        message: format!("{v} does not fit in u32"),
-    })
-}
-
-fn get_bool(value: &Json, ctx: &'static str) -> Result<bool, SpecError> {
-    value.as_bool().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: format!("expected a boolean, got {}", value.to_text()),
-    })
-}
-
-fn arms_json(arms: &[ArmId]) -> Json {
-    Json::Array(arms.iter().map(|&a| Json::from_u64(a as u64)).collect())
-}
-
-fn get_arms(value: &Json, ctx: &'static str) -> Result<Vec<ArmId>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of arm ids".into(),
-    })?;
-    items.iter().map(|item| get_usize(item, ctx)).collect()
-}
-
-fn observations_json(observations: &[(ArmId, f64)]) -> Json {
-    Json::Array(
-        observations
-            .iter()
-            .map(|&(arm, x)| Json::Array(vec![Json::from_u64(arm as u64), Json::from_f64(x)]))
-            .collect(),
-    )
-}
-
-fn get_observations(value: &Json, ctx: &'static str) -> Result<Vec<(ArmId, f64)>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of [arm, reward] pairs".into(),
-    })?;
-    items
-        .iter()
-        .map(|item| {
-            let pair =
-                item.as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| SpecError::Invalid {
-                        context: ctx,
-                        message: format!("expected a 2-element array, got {}", item.to_text()),
-                    })?;
-            Ok((get_usize(&pair[0], ctx)?, get_f64(&pair[1], ctx)?))
-        })
-        .collect()
+fn unknown_variant(context: &'static str, variant: &str) -> SpecError {
+    SpecError::UnknownVariant {
+        context,
+        variant: variant.to_owned(),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // events
 // ---------------------------------------------------------------------------
 
-/// Encodes one feedback event body.
-pub fn event_to_json(event: &WireEvent) -> Json {
+fn write_arms(out: &mut String, arms: &[ArmId]) {
+    write_array(out, arms, |out, &arm| write_u64(out, arm as u64));
+}
+
+fn read_arms(r: &mut Reader<'_>, ctx: &'static str) -> Result<Vec<ArmId>, SpecError> {
+    r.array(ctx, |r| r.usize(ctx))
+}
+
+fn write_observations(out: &mut String, observations: &[(ArmId, f64)]) {
+    write_array(out, observations, |out, &(arm, x)| {
+        out.push('[');
+        write_u64(out, arm as u64);
+        out.push(',');
+        write_f64(out, x);
+        out.push(']');
+    });
+}
+
+fn read_observations(
+    r: &mut Reader<'_>,
+    ctx: &'static str,
+) -> Result<Vec<(ArmId, f64)>, SpecError> {
+    r.array(ctx, |r| r.pair(ctx, |r| r.usize(ctx), |r| r.f64(ctx)))
+}
+
+/// Appends one feedback event body (shared with the WAL's `feedback`
+/// records and the snapshots' pending queues).
+pub(crate) fn write_event(out: &mut String, event: &WireEvent) {
     match event {
-        WireEvent::Single(f) => tagged(
-            "single",
-            vec![
-                ("arm".into(), Json::from_u64(f.arm as u64)),
-                ("direct_reward".into(), Json::from_f64(f.direct_reward)),
-                ("side_reward".into(), Json::from_f64(f.side_reward)),
-                ("observations".into(), observations_json(&f.observations)),
-            ],
-        ),
-        WireEvent::Combinatorial(f) => tagged(
-            "combinatorial",
-            vec![
-                ("strategy".into(), arms_json(&f.strategy)),
-                ("observation_set".into(), arms_json(&f.observation_set)),
-                ("direct_reward".into(), Json::from_f64(f.direct_reward)),
-                ("side_reward".into(), Json::from_f64(f.side_reward)),
-                ("observations".into(), observations_json(&f.observations)),
-            ],
-        ),
+        WireEvent::Single(f) => {
+            out.push_str(r#"{"type":"single","arm":"#);
+            write_u64(out, f.arm as u64);
+            out.push_str(r#","direct_reward":"#);
+            write_f64(out, f.direct_reward);
+            out.push_str(r#","side_reward":"#);
+            write_f64(out, f.side_reward);
+            out.push_str(r#","observations":"#);
+            write_observations(out, &f.observations);
+        }
+        WireEvent::Combinatorial(f) => {
+            out.push_str(r#"{"type":"combinatorial","strategy":"#);
+            write_arms(out, &f.strategy);
+            out.push_str(r#","observation_set":"#);
+            write_arms(out, &f.observation_set);
+            out.push_str(r#","direct_reward":"#);
+            write_f64(out, f.direct_reward);
+            out.push_str(r#","side_reward":"#);
+            write_f64(out, f.side_reward);
+            out.push_str(r#","observations":"#);
+            write_observations(out, &f.observations);
+        }
     }
+    out.push('}');
 }
 
 /// Decodes one feedback event body (strict).
-pub fn event_from_json(value: &Json) -> Result<WireEvent, SpecError> {
+pub(crate) fn read_event(r: &mut Reader<'_>) -> Result<WireEvent, SpecError> {
     const CTX: &str = "wire feedback event";
-    let mut obj = Obj::new(value, CTX)?;
-    let event = match tag_of(&mut obj)? {
-        "single" => WireEvent::Single(SinglePlayFeedback {
-            arm: get_usize(obj.req("arm")?, CTX)?,
-            direct_reward: get_f64(obj.req("direct_reward")?, CTX)?,
-            side_reward: get_f64(obj.req("side_reward")?, CTX)?,
-            observations: get_observations(obj.req("observations")?, CTX)?,
-        }),
-        "combinatorial" => WireEvent::Combinatorial(CombinatorialFeedback {
-            strategy: get_arms(obj.req("strategy")?, CTX)?,
-            observation_set: get_arms(obj.req("observation_set")?, CTX)?,
-            direct_reward: get_f64(obj.req("direct_reward")?, CTX)?,
-            side_reward: get_f64(obj.req("side_reward")?, CTX)?,
-            observations: get_observations(obj.req("observations")?, CTX)?,
-        }),
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
+    let (mut arm, mut strategy, mut observation_set) = (None, None, None);
+    let (mut direct_reward, mut side_reward, mut observations) = (None, None, None);
+    let tag = r.tag(CTX)?;
+    let single = match &*tag {
+        "single" => true,
+        "combinatorial" => false,
+        other => return Err(unknown_variant(CTX, other)),
     };
-    obj.finish()?;
-    Ok(event)
+    r.tagged_object(CTX, |r, key| match key {
+        "arm" if single => r.field(key, &mut arm, |r| r.usize(CTX)),
+        "strategy" if !single => r.field(key, &mut strategy, |r| read_arms(r, CTX)),
+        "observation_set" if !single => r.field(key, &mut observation_set, |r| read_arms(r, CTX)),
+        "direct_reward" => r.field(key, &mut direct_reward, |r| r.f64(CTX)),
+        "side_reward" => r.field(key, &mut side_reward, |r| r.f64(CTX)),
+        "observations" => r.field(key, &mut observations, |r| read_observations(r, CTX)),
+        _ => Ok(false),
+    })?;
+    Ok(if single {
+        WireEvent::Single(SinglePlayFeedback {
+            arm: required(arm, CTX, "arm")?,
+            direct_reward: required(direct_reward, CTX, "direct_reward")?,
+            side_reward: required(side_reward, CTX, "side_reward")?,
+            observations: required(observations, CTX, "observations")?,
+        })
+    } else {
+        WireEvent::Combinatorial(CombinatorialFeedback {
+            strategy: required(strategy, CTX, "strategy")?,
+            observation_set: required(observation_set, CTX, "observation_set")?,
+            direct_reward: required(direct_reward, CTX, "direct_reward")?,
+            side_reward: required(side_reward, CTX, "side_reward")?,
+            observations: required(observations, CTX, "observations")?,
+        })
+    })
+}
+
+/// Appends a `{"round":…,"event":…}` entry, the element of a feedback window
+/// and of a snapshot's pending queue.
+pub(crate) fn write_round_event(out: &mut String, round: u64, event: &WireEvent) {
+    out.push_str(r#"{"round":"#);
+    write_u64(out, round);
+    out.push_str(r#","event":"#);
+    write_event(out, event);
+    out.push('}');
+}
+
+/// Decodes a `{"round":…,"event":…}` entry (strict).
+pub(crate) fn read_round_event(
+    r: &mut Reader<'_>,
+    ctx: &'static str,
+) -> Result<(u64, WireEvent), SpecError> {
+    let (mut round, mut event) = (None, None);
+    r.object(ctx, |r, key| match key {
+        "round" => r.field(key, &mut round, |r| r.u64(ctx)),
+        "event" => r.field(key, &mut event, read_event),
+        _ => Ok(false),
+    })?;
+    Ok((
+        required(round, ctx, "round")?,
+        required(event, ctx, "event")?,
+    ))
 }
 
 // ---------------------------------------------------------------------------
 // requests
 // ---------------------------------------------------------------------------
 
-/// Encodes a request document.
-pub fn request_to_json(request: &WireRequest) -> Json {
+fn write_request(out: &mut String, request: &WireRequest) {
     match request {
-        WireRequest::DecideMany { tenant, count } => tagged(
-            "decide_many",
-            vec![
-                ("tenant".into(), Json::String(tenant.clone())),
-                ("count".into(), Json::from_u64(u64::from(*count))),
-            ],
-        ),
-        WireRequest::FeedbackMany { tenant, events } => tagged(
-            "feedback_many",
-            vec![
-                ("tenant".into(), Json::String(tenant.clone())),
-                (
-                    "events".into(),
-                    Json::Array(
-                        events
-                            .iter()
-                            .map(|e| {
-                                Json::Object(vec![
-                                    ("round".into(), Json::from_u64(e.round)),
-                                    ("event".into(), event_to_json(&e.event)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-        ),
-        WireRequest::RegisterTenant { id, scenario } => tagged(
-            "register_tenant",
-            vec![
-                ("id".into(), Json::String(id.clone())),
-                ("scenario".into(), scenario_to_json(scenario)),
-            ],
-        ),
-        WireRequest::Metrics => tagged("metrics", Vec::new()),
-        WireRequest::Telemetry { tenant } => tagged(
-            "telemetry",
-            vec![("tenant".into(), Json::String(tenant.clone()))],
-        ),
+        WireRequest::DecideMany { tenant, count } => {
+            out.push_str(r#"{"type":"decide_many","tenant":"#);
+            write_string(tenant, out);
+            out.push_str(r#","count":"#);
+            write_u64(out, u64::from(*count));
+        }
+        WireRequest::FeedbackMany { tenant, events } => {
+            out.push_str(r#"{"type":"feedback_many","tenant":"#);
+            write_string(tenant, out);
+            out.push_str(r#","events":"#);
+            write_array(out, events, |out, e| {
+                write_round_event(out, e.round, &e.event)
+            });
+        }
+        WireRequest::RegisterTenant { id, scenario } => {
+            out.push_str(r#"{"type":"register_tenant","id":"#);
+            write_string(id, out);
+            out.push_str(r#","scenario":"#);
+            scenario_to_json(scenario).write(out);
+        }
+        WireRequest::Metrics => out.push_str(r#"{"type":"metrics""#),
+        WireRequest::Telemetry { tenant } => {
+            out.push_str(r#"{"type":"telemetry","tenant":"#);
+            write_string(tenant, out);
+        }
     }
+    out.push('}');
 }
 
-/// Decodes a request document (strict).
-pub fn request_from_json(value: &Json) -> Result<WireRequest, SpecError> {
+fn read_request(r: &mut Reader<'_>) -> Result<WireRequest, SpecError> {
     const CTX: &str = "wire request";
-    let mut obj = Obj::new(value, CTX)?;
-    let request = match tag_of(&mut obj)? {
-        "decide_many" => WireRequest::DecideMany {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-            count: get_u32(obj.req("count")?, CTX)?,
-        },
-        "feedback_many" => {
-            let tenant = get_str(obj.req("tenant")?, CTX)?.to_owned();
-            let items = obj.req("events")?.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "expected an array of feedback events".into(),
+    const ENTRY: &str = "wire feedback entry";
+    let tag = r.tag(CTX)?;
+    let (mut tenant, mut count, mut events, mut id, mut scenario) = (None, None, None, None, None);
+    let request = match &*tag {
+        "decide_many" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "tenant" => r.field(key, &mut tenant, |r| r.string_owned(CTX)),
+                "count" => r.field(key, &mut count, |r| r.u32(CTX)),
+                _ => Ok(false),
             })?;
-            let events = items
-                .iter()
-                .map(|item| {
-                    let mut entry = Obj::new(item, "wire feedback entry")?;
-                    let round = get_u64(entry.req("round")?, "wire feedback entry")?;
-                    let event = event_from_json(entry.req("event")?)?;
-                    entry.finish()?;
-                    Ok(WireFeedback { round, event })
-                })
-                .collect::<Result<Vec<_>, SpecError>>()?;
-            WireRequest::FeedbackMany { tenant, events }
+            WireRequest::DecideMany {
+                tenant: required(tenant, CTX, "tenant")?,
+                count: required(count, CTX, "count")?,
+            }
         }
-        "register_tenant" => WireRequest::RegisterTenant {
-            id: get_str(obj.req("id")?, CTX)?.to_owned(),
-            scenario: Box::new(scenario_from_json(obj.req("scenario")?)?),
-        },
-        "metrics" => WireRequest::Metrics,
-        "telemetry" => WireRequest::Telemetry {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-        },
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
+        "feedback_many" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "tenant" => r.field(key, &mut tenant, |r| r.string_owned(CTX)),
+                "events" => r.field(key, &mut events, |r| {
+                    r.array(CTX, |r| {
+                        let (round, event) = read_round_event(r, ENTRY)?;
+                        Ok(WireFeedback { round, event })
+                    })
+                }),
+                _ => Ok(false),
+            })?;
+            WireRequest::FeedbackMany {
+                tenant: required(tenant, CTX, "tenant")?,
+                events: required(events, CTX, "events")?,
+            }
         }
+        "register_tenant" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "id" => r.field(key, &mut id, |r| r.string_owned(CTX)),
+                // The scenario stays a tree document: its byte span goes
+                // through `parse`'s tree reader and the spec decoder.
+                "scenario" => r.field(key, &mut scenario, |r| {
+                    scenario_from_json(&r.tree()?).map(Box::new)
+                }),
+                _ => Ok(false),
+            })?;
+            WireRequest::RegisterTenant {
+                id: required(id, CTX, "id")?,
+                scenario: required(scenario, CTX, "scenario")?,
+            }
+        }
+        "metrics" => {
+            r.tagged_object(CTX, |_, _| Ok(false))?;
+            WireRequest::Metrics
+        }
+        "telemetry" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "tenant" => r.field(key, &mut tenant, |r| r.string_owned(CTX)),
+                _ => Ok(false),
+            })?;
+            WireRequest::Telemetry {
+                tenant: required(tenant, CTX, "tenant")?,
+            }
+        }
+        other => return Err(unknown_variant(CTX, other)),
     };
-    obj.finish()?;
     Ok(request)
 }
 
@@ -545,247 +601,297 @@ pub fn request_from_json(value: &Json) -> Result<WireRequest, SpecError> {
 // responses
 // ---------------------------------------------------------------------------
 
-fn latency_json(latency: &WireLatency) -> Json {
-    Json::Object(vec![
-        ("p50_ns".into(), Json::from_u64(latency.p50_ns)),
-        ("p50_exact".into(), Json::Bool(latency.p50_exact)),
-        ("p99_ns".into(), Json::from_u64(latency.p99_ns)),
-        ("p99_exact".into(), Json::Bool(latency.p99_exact)),
-    ])
+fn write_latency(out: &mut String, latency: &WireLatency) {
+    out.push_str(r#"{"p50_ns":"#);
+    write_u64(out, latency.p50_ns);
+    out.push_str(r#","p50_exact":"#);
+    write_bool(out, latency.p50_exact);
+    out.push_str(r#","p99_ns":"#);
+    write_u64(out, latency.p99_ns);
+    out.push_str(r#","p99_exact":"#);
+    write_bool(out, latency.p99_exact);
+    out.push('}');
 }
 
-fn latency_from_json(value: &Json) -> Result<WireLatency, SpecError> {
+fn read_latency(r: &mut Reader<'_>) -> Result<WireLatency, SpecError> {
     const CTX: &str = "wire latency";
-    let mut obj = Obj::new(value, CTX)?;
-    let latency = WireLatency {
-        p50_ns: get_u64(obj.req("p50_ns")?, CTX)?,
-        p50_exact: get_bool(obj.req("p50_exact")?, CTX)?,
-        p99_ns: get_u64(obj.req("p99_ns")?, CTX)?,
-        p99_exact: get_bool(obj.req("p99_exact")?, CTX)?,
-    };
-    obj.finish()?;
-    Ok(latency)
-}
-
-fn decision_json(decision: &WireDecision) -> Json {
-    match decision {
-        WireDecision::Arm(arm) => tagged("arm", vec![("arm".into(), Json::from_u64(*arm as u64))]),
-        WireDecision::Strategy(arms) => tagged("strategy", vec![("arms".into(), arms_json(arms))]),
-    }
-}
-
-fn decision_from_json(value: &Json) -> Result<WireDecision, SpecError> {
-    const CTX: &str = "wire decision";
-    let mut obj = Obj::new(value, CTX)?;
-    let decision = match tag_of(&mut obj)? {
-        "arm" => WireDecision::Arm(get_usize(obj.req("arm")?, CTX)?),
-        "strategy" => WireDecision::Strategy(get_arms(obj.req("arms")?, CTX)?),
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    Ok(decision)
-}
-
-fn reply_json(reply: &WireReply) -> Json {
-    Json::Object(vec![
-        ("round".into(), Json::from_u64(reply.round)),
-        ("decision".into(), decision_json(&reply.decision)),
-        ("reward".into(), Json::from_f64(reply.reward)),
-        (
-            "feedback".into(),
-            match &reply.feedback {
-                Some(event) => event_to_json(event),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn reply_from_json(value: &Json) -> Result<WireReply, SpecError> {
-    const CTX: &str = "wire decide reply";
-    let mut obj = Obj::new(value, CTX)?;
-    let round = get_u64(obj.req("round")?, CTX)?;
-    let decision = decision_from_json(obj.req("decision")?)?;
-    let reward = get_f64(obj.req("reward")?, CTX)?;
-    // `opt` treats JSON null as absent, which is exactly the encoding of
-    // `feedback: None` — but the key itself stays mandatory in spirit; we
-    // accept both null and omission for forward ergonomics.
-    let feedback = obj.opt("feedback").map(event_from_json).transpose()?;
-    obj.finish()?;
-    Ok(WireReply {
-        round,
-        decision,
-        reward,
-        feedback,
+    let (mut p50_ns, mut p50_exact, mut p99_ns, mut p99_exact) = (None, None, None, None);
+    r.object(CTX, |r, key| match key {
+        "p50_ns" => r.field(key, &mut p50_ns, |r| r.u64(CTX)),
+        "p50_exact" => r.field(key, &mut p50_exact, |r| r.bool(CTX)),
+        "p99_ns" => r.field(key, &mut p99_ns, |r| r.u64(CTX)),
+        "p99_exact" => r.field(key, &mut p99_exact, |r| r.bool(CTX)),
+        _ => Ok(false),
+    })?;
+    Ok(WireLatency {
+        p50_ns: required(p50_ns, CTX, "p50_ns")?,
+        p50_exact: required(p50_exact, CTX, "p50_exact")?,
+        p99_ns: required(p99_ns, CTX, "p99_ns")?,
+        p99_exact: required(p99_exact, CTX, "p99_exact")?,
     })
 }
 
-/// Encodes a response document.
-pub fn response_to_json(response: &WireResponse) -> Json {
-    match response {
-        WireResponse::Decisions { tenant, replies } => tagged(
-            "decisions",
-            vec![
-                ("tenant".into(), Json::String(tenant.clone())),
-                (
-                    "replies".into(),
-                    Json::Array(replies.iter().map(reply_json).collect()),
-                ),
-            ],
-        ),
-        WireResponse::Ok => tagged("ok", Vec::new()),
-        WireResponse::Accepted { count } => {
-            tagged("accepted", vec![("count".into(), Json::from_u64(*count))])
+fn write_decision(out: &mut String, decision: &WireDecision) {
+    match decision {
+        WireDecision::Arm(arm) => {
+            out.push_str(r#"{"type":"arm","arm":"#);
+            write_u64(out, *arm as u64);
         }
-        WireResponse::Metrics(m) => tagged(
-            "metrics",
-            vec![
-                ("shards".into(), Json::from_u64(m.shards)),
-                ("tenants".into(), Json::from_u64(m.tenants)),
-                ("total_decides".into(), Json::from_u64(m.total_decides)),
-                (
-                    "total_feedback_events".into(),
-                    Json::from_u64(m.total_feedback_events),
-                ),
-                ("rejected".into(), Json::from_u64(m.rejected)),
-                (
-                    "overload_rejections".into(),
-                    Json::from_u64(m.overload_rejections),
-                ),
-                ("decide_latency".into(), latency_json(&m.decide_latency)),
-                ("feedback_latency".into(), latency_json(&m.feedback_latency)),
-            ],
-        ),
-        WireResponse::Telemetry(t) => tagged(
-            "telemetry",
-            vec![
-                ("tenant".into(), Json::String(t.tenant.clone())),
-                ("policy".into(), Json::String(t.policy.clone())),
-                ("round".into(), Json::from_u64(t.round)),
-                (
-                    "pending_feedback".into(),
-                    Json::from_u64(t.pending_feedback),
-                ),
-                ("decides".into(), Json::from_u64(t.decides)),
-                ("feedback_events".into(), Json::from_u64(t.feedback_events)),
-                ("total_reward".into(), Json::from_f64(t.total_reward)),
-                ("optimal_reward".into(), Json::from_f64(t.optimal_reward)),
-                ("regret".into(), Json::from_f64(t.regret)),
-                (
-                    "arms".into(),
-                    Json::Array(
-                        t.arms
-                            .iter()
-                            .map(|a| {
-                                Json::Object(vec![
-                                    ("arm".into(), Json::from_u64(a.arm as u64)),
-                                    ("pulls".into(), Json::from_u64(a.pulls)),
-                                    ("mean".into(), Json::from_f64(a.mean)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-        ),
-        WireResponse::Error { code, message } => tagged(
-            "error",
-            vec![
-                ("code".into(), Json::String(code.as_str().to_owned())),
-                ("message".into(), Json::String(message.clone())),
-            ],
-        ),
+        WireDecision::Strategy(arms) => {
+            out.push_str(r#"{"type":"strategy","arms":"#);
+            write_arms(out, arms);
+        }
+    }
+    out.push('}');
+}
+
+fn read_decision(r: &mut Reader<'_>) -> Result<WireDecision, SpecError> {
+    const CTX: &str = "wire decision";
+    let tag = r.tag(CTX)?;
+    let (mut arm, mut arms) = (None, None);
+    match &*tag {
+        "arm" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "arm" => r.field(key, &mut arm, |r| r.usize(CTX)),
+                _ => Ok(false),
+            })?;
+            Ok(WireDecision::Arm(required(arm, CTX, "arm")?))
+        }
+        "strategy" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "arms" => r.field(key, &mut arms, |r| read_arms(r, CTX)),
+                _ => Ok(false),
+            })?;
+            Ok(WireDecision::Strategy(required(arms, CTX, "arms")?))
+        }
+        other => Err(unknown_variant(CTX, other)),
     }
 }
 
-/// Decodes a response document (strict).
-pub fn response_from_json(value: &Json) -> Result<WireResponse, SpecError> {
+fn write_reply(out: &mut String, reply: &WireReply) {
+    out.push_str(r#"{"round":"#);
+    write_u64(out, reply.round);
+    out.push_str(r#","decision":"#);
+    write_decision(out, &reply.decision);
+    out.push_str(r#","reward":"#);
+    write_f64(out, reply.reward);
+    out.push_str(r#","feedback":"#);
+    match &reply.feedback {
+        Some(event) => write_event(out, event),
+        None => out.push_str("null"),
+    }
+    out.push('}');
+}
+
+fn read_reply(r: &mut Reader<'_>) -> Result<WireReply, SpecError> {
+    const CTX: &str = "wire decide reply";
+    let (mut round, mut decision, mut reward, mut feedback) = (None, None, None, None);
+    r.object(CTX, |r, key| match key {
+        "round" => r.field(key, &mut round, |r| r.u64(CTX)),
+        "decision" => r.field(key, &mut decision, read_decision),
+        "reward" => r.field(key, &mut reward, |r| r.f64(CTX)),
+        // `null` and an omitted key both mean "no feedback echoed".
+        "feedback" => r.field(key, &mut feedback, |r| r.nullable(read_event)),
+        _ => Ok(false),
+    })?;
+    Ok(WireReply {
+        round: required(round, CTX, "round")?,
+        decision: required(decision, CTX, "decision")?,
+        reward: required(reward, CTX, "reward")?,
+        feedback: feedback.flatten(),
+    })
+}
+
+fn write_response(out: &mut String, response: &WireResponse) {
+    match response {
+        WireResponse::Decisions { tenant, replies } => {
+            out.push_str(r#"{"type":"decisions","tenant":"#);
+            write_string(tenant, out);
+            out.push_str(r#","replies":"#);
+            write_array(out, replies, write_reply);
+        }
+        WireResponse::Ok => out.push_str(r#"{"type":"ok""#),
+        WireResponse::Accepted { count } => {
+            out.push_str(r#"{"type":"accepted","count":"#);
+            write_u64(out, *count);
+        }
+        WireResponse::Metrics(m) => {
+            out.push_str(r#"{"type":"metrics","shards":"#);
+            write_u64(out, m.shards);
+            out.push_str(r#","tenants":"#);
+            write_u64(out, m.tenants);
+            out.push_str(r#","total_decides":"#);
+            write_u64(out, m.total_decides);
+            out.push_str(r#","total_feedback_events":"#);
+            write_u64(out, m.total_feedback_events);
+            out.push_str(r#","rejected":"#);
+            write_u64(out, m.rejected);
+            out.push_str(r#","overload_rejections":"#);
+            write_u64(out, m.overload_rejections);
+            out.push_str(r#","decide_latency":"#);
+            write_latency(out, &m.decide_latency);
+            out.push_str(r#","feedback_latency":"#);
+            write_latency(out, &m.feedback_latency);
+        }
+        WireResponse::Telemetry(t) => {
+            out.push_str(r#"{"type":"telemetry","tenant":"#);
+            write_string(&t.tenant, out);
+            out.push_str(r#","policy":"#);
+            write_string(&t.policy, out);
+            out.push_str(r#","round":"#);
+            write_u64(out, t.round);
+            out.push_str(r#","pending_feedback":"#);
+            write_u64(out, t.pending_feedback);
+            out.push_str(r#","decides":"#);
+            write_u64(out, t.decides);
+            out.push_str(r#","feedback_events":"#);
+            write_u64(out, t.feedback_events);
+            out.push_str(r#","total_reward":"#);
+            write_f64(out, t.total_reward);
+            out.push_str(r#","optimal_reward":"#);
+            write_f64(out, t.optimal_reward);
+            out.push_str(r#","regret":"#);
+            write_f64(out, t.regret);
+            out.push_str(r#","arms":"#);
+            write_array(out, &t.arms, |out, a| {
+                out.push_str(r#"{"arm":"#);
+                write_u64(out, a.arm as u64);
+                out.push_str(r#","pulls":"#);
+                write_u64(out, a.pulls);
+                out.push_str(r#","mean":"#);
+                write_f64(out, a.mean);
+                out.push('}');
+            });
+        }
+        WireResponse::Error { code, message } => {
+            out.push_str(r#"{"type":"error","code":"#);
+            write_string(code.as_str(), out);
+            out.push_str(r#","message":"#);
+            write_string(message, out);
+        }
+    }
+    out.push('}');
+}
+
+fn read_arm_stat(r: &mut Reader<'_>) -> Result<WireArmStat, SpecError> {
+    const CTX: &str = "wire arm stat";
+    let (mut arm, mut pulls, mut mean) = (None, None, None);
+    r.object(CTX, |r, key| match key {
+        "arm" => r.field(key, &mut arm, |r| r.usize(CTX)),
+        "pulls" => r.field(key, &mut pulls, |r| r.u64(CTX)),
+        "mean" => r.field(key, &mut mean, |r| r.f64(CTX)),
+        _ => Ok(false),
+    })?;
+    Ok(WireArmStat {
+        arm: required(arm, CTX, "arm")?,
+        pulls: required(pulls, CTX, "pulls")?,
+        mean: required(mean, CTX, "mean")?,
+    })
+}
+
+fn read_metrics(r: &mut Reader<'_>, ctx: &'static str) -> Result<WireMetrics, SpecError> {
+    let (mut shards, mut tenants, mut total_decides) = (None, None, None);
+    let (mut total_feedback_events, mut rejected, mut overload_rejections) = (None, None, None);
+    let (mut decide_latency, mut feedback_latency) = (None, None);
+    r.tagged_object(ctx, |r, key| match key {
+        "shards" => r.field(key, &mut shards, |r| r.u64(ctx)),
+        "tenants" => r.field(key, &mut tenants, |r| r.u64(ctx)),
+        "total_decides" => r.field(key, &mut total_decides, |r| r.u64(ctx)),
+        "total_feedback_events" => r.field(key, &mut total_feedback_events, |r| r.u64(ctx)),
+        "rejected" => r.field(key, &mut rejected, |r| r.u64(ctx)),
+        "overload_rejections" => r.field(key, &mut overload_rejections, |r| r.u64(ctx)),
+        "decide_latency" => r.field(key, &mut decide_latency, read_latency),
+        "feedback_latency" => r.field(key, &mut feedback_latency, read_latency),
+        _ => Ok(false),
+    })?;
+    Ok(WireMetrics {
+        shards: required(shards, ctx, "shards")?,
+        tenants: required(tenants, ctx, "tenants")?,
+        total_decides: required(total_decides, ctx, "total_decides")?,
+        total_feedback_events: required(total_feedback_events, ctx, "total_feedback_events")?,
+        rejected: required(rejected, ctx, "rejected")?,
+        overload_rejections: required(overload_rejections, ctx, "overload_rejections")?,
+        decide_latency: required(decide_latency, ctx, "decide_latency")?,
+        feedback_latency: required(feedback_latency, ctx, "feedback_latency")?,
+    })
+}
+
+fn read_telemetry(r: &mut Reader<'_>, ctx: &'static str) -> Result<WireTelemetry, SpecError> {
+    let (mut tenant, mut policy, mut round, mut pending_feedback) = (None, None, None, None);
+    let (mut decides, mut feedback_events, mut total_reward) = (None, None, None);
+    let (mut optimal_reward, mut regret, mut arms) = (None, None, None);
+    r.tagged_object(ctx, |r, key| match key {
+        "tenant" => r.field(key, &mut tenant, |r| r.string_owned(ctx)),
+        "policy" => r.field(key, &mut policy, |r| r.string_owned(ctx)),
+        "round" => r.field(key, &mut round, |r| r.u64(ctx)),
+        "pending_feedback" => r.field(key, &mut pending_feedback, |r| r.u64(ctx)),
+        "decides" => r.field(key, &mut decides, |r| r.u64(ctx)),
+        "feedback_events" => r.field(key, &mut feedback_events, |r| r.u64(ctx)),
+        "total_reward" => r.field(key, &mut total_reward, |r| r.f64(ctx)),
+        "optimal_reward" => r.field(key, &mut optimal_reward, |r| r.f64(ctx)),
+        "regret" => r.field(key, &mut regret, |r| r.f64(ctx)),
+        "arms" => r.field(key, &mut arms, |r| r.array(ctx, read_arm_stat)),
+        _ => Ok(false),
+    })?;
+    Ok(WireTelemetry {
+        tenant: required(tenant, ctx, "tenant")?,
+        policy: required(policy, ctx, "policy")?,
+        round: required(round, ctx, "round")?,
+        pending_feedback: required(pending_feedback, ctx, "pending_feedback")?,
+        decides: required(decides, ctx, "decides")?,
+        feedback_events: required(feedback_events, ctx, "feedback_events")?,
+        total_reward: required(total_reward, ctx, "total_reward")?,
+        optimal_reward: required(optimal_reward, ctx, "optimal_reward")?,
+        regret: required(regret, ctx, "regret")?,
+        arms: required(arms, ctx, "arms")?,
+    })
+}
+
+fn read_response(r: &mut Reader<'_>) -> Result<WireResponse, SpecError> {
     const CTX: &str = "wire response";
-    let mut obj = Obj::new(value, CTX)?;
-    let response = match tag_of(&mut obj)? {
+    let tag = r.tag(CTX)?;
+    let (mut tenant, mut replies, mut count) = (None, None, None);
+    let (mut code, mut message) = (None, None);
+    let response = match &*tag {
         "decisions" => {
-            let tenant = get_str(obj.req("tenant")?, CTX)?.to_owned();
-            let items = obj.req("replies")?.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "expected an array of replies".into(),
+            r.tagged_object(CTX, |r, key| match key {
+                "tenant" => r.field(key, &mut tenant, |r| r.string_owned(CTX)),
+                "replies" => r.field(key, &mut replies, |r| r.array(CTX, read_reply)),
+                _ => Ok(false),
             })?;
-            let replies = items
-                .iter()
-                .map(reply_from_json)
-                .collect::<Result<Vec<_>, SpecError>>()?;
-            WireResponse::Decisions { tenant, replies }
+            WireResponse::Decisions {
+                tenant: required(tenant, CTX, "tenant")?,
+                replies: required(replies, CTX, "replies")?,
+            }
         }
-        "ok" => WireResponse::Ok,
-        "accepted" => WireResponse::Accepted {
-            count: get_u64(obj.req("count")?, CTX)?,
-        },
-        "metrics" => WireResponse::Metrics(WireMetrics {
-            shards: get_u64(obj.req("shards")?, CTX)?,
-            tenants: get_u64(obj.req("tenants")?, CTX)?,
-            total_decides: get_u64(obj.req("total_decides")?, CTX)?,
-            total_feedback_events: get_u64(obj.req("total_feedback_events")?, CTX)?,
-            rejected: get_u64(obj.req("rejected")?, CTX)?,
-            overload_rejections: get_u64(obj.req("overload_rejections")?, CTX)?,
-            decide_latency: latency_from_json(obj.req("decide_latency")?)?,
-            feedback_latency: latency_from_json(obj.req("feedback_latency")?)?,
-        }),
-        "telemetry" => {
-            let tenant = get_str(obj.req("tenant")?, CTX)?.to_owned();
-            let policy = get_str(obj.req("policy")?, CTX)?.to_owned();
-            let round = get_u64(obj.req("round")?, CTX)?;
-            let pending_feedback = get_u64(obj.req("pending_feedback")?, CTX)?;
-            let decides = get_u64(obj.req("decides")?, CTX)?;
-            let feedback_events = get_u64(obj.req("feedback_events")?, CTX)?;
-            let total_reward = get_f64(obj.req("total_reward")?, CTX)?;
-            let optimal_reward = get_f64(obj.req("optimal_reward")?, CTX)?;
-            let regret = get_f64(obj.req("regret")?, CTX)?;
-            let items = obj.req("arms")?.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "expected an array of arm stats".into(),
+        "ok" => {
+            r.tagged_object(CTX, |_, _| Ok(false))?;
+            WireResponse::Ok
+        }
+        "accepted" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "count" => r.field(key, &mut count, |r| r.u64(CTX)),
+                _ => Ok(false),
             })?;
-            let arms = items
-                .iter()
-                .map(|item| {
-                    let mut entry = Obj::new(item, "wire arm stat")?;
-                    let stat = WireArmStat {
-                        arm: get_usize(entry.req("arm")?, "wire arm stat")?,
-                        pulls: get_u64(entry.req("pulls")?, "wire arm stat")?,
-                        mean: get_f64(entry.req("mean")?, "wire arm stat")?,
-                    };
-                    entry.finish()?;
-                    Ok(stat)
-                })
-                .collect::<Result<Vec<_>, SpecError>>()?;
-            WireResponse::Telemetry(Box::new(WireTelemetry {
-                tenant,
-                policy,
-                round,
-                pending_feedback,
-                decides,
-                feedback_events,
-                total_reward,
-                optimal_reward,
-                regret,
-                arms,
-            }))
+            WireResponse::Accepted {
+                count: required(count, CTX, "count")?,
+            }
         }
-        "error" => WireResponse::Error {
-            code: WireErrorCode::from_str(get_str(obj.req("code")?, CTX)?)?,
-            message: get_str(obj.req("message")?, CTX)?.to_owned(),
-        },
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
+        "metrics" => WireResponse::Metrics(read_metrics(r, CTX)?),
+        "telemetry" => WireResponse::Telemetry(Box::new(read_telemetry(r, CTX)?)),
+        "error" => {
+            r.tagged_object(CTX, |r, key| match key {
+                "code" => r.field(key, &mut code, |r| WireErrorCode::from_str(&r.str(CTX)?)),
+                "message" => r.field(key, &mut message, |r| r.string_owned(CTX)),
+                _ => Ok(false),
+            })?;
+            WireResponse::Error {
+                code: required(code, CTX, "code")?,
+                message: required(message, CTX, "message")?,
+            }
         }
+        other => return Err(unknown_variant(CTX, other)),
     };
-    obj.finish()?;
     Ok(response)
 }
 
@@ -995,6 +1101,208 @@ mod tests {
             r#"{"type":"error","code":"not_a_code","message":"m"}"#,
             r#"{"type":"ok","status":200}"#,
         ] {
+            assert!(WireResponse::from_json_text(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    fn decide(tenant: &str, count: u32) -> WireRequest {
+        WireRequest::DecideMany {
+            tenant: tenant.into(),
+            count,
+        }
+    }
+
+    /// The documents the reader accepts beyond the canonical encoding, each
+    /// with the value it must decode to.
+    #[test]
+    fn accepts_every_spelling_the_contract_allows() {
+        let single = |arm, x| {
+            WireEvent::Single(SinglePlayFeedback {
+                arm,
+                direct_reward: x,
+                side_reward: x,
+                observations: vec![(arm, x)],
+            })
+        };
+        let requests = [
+            // Any key order, including the tag last.
+            (
+                r#"{"tenant":"t","count":3,"type":"decide_many"}"#,
+                decide("t", 3),
+            ),
+            (
+                r#"{"count":3,"type":"decide_many","tenant":"t"}"#,
+                decide("t", 3),
+            ),
+            // Whitespace between any two tokens.
+            (
+                " {\n\t\"type\" : \"decide_many\" ,\r\n \"tenant\" :\"t\", \"count\" : 3 } \n",
+                decide("t", 3),
+            ),
+            // Escaped keys and escaped tag values.
+            (
+                r#"{"\u0074ype":"decide\u005fmany","tenant":"\u0074","coun\u0074":3}"#,
+                decide("t", 3),
+            ),
+            // Leading zeros in an integer lexeme.
+            (
+                r#"{"type":"decide_many","tenant":"t","count":007}"#,
+                decide("t", 7),
+            ),
+            (r#"{"type":"metrics"}"#, WireRequest::Metrics),
+            (
+                r#"{"events":[ {"event":{"observations":[ [ 2 , 0.5 ] ],
+                    "side_reward":5e-1,"direct_reward":0.5,"arm":2,"type":"single"},
+                    "round":4} ],"tenant":"t","type":"feedback_many"}"#,
+                WireRequest::FeedbackMany {
+                    tenant: "t".into(),
+                    events: vec![WireFeedback {
+                        round: 4,
+                        event: single(2, 0.5),
+                    }],
+                },
+            ),
+        ];
+        for (text, expected) in requests {
+            assert_eq!(
+                WireRequest::from_json_text(text).unwrap(),
+                expected,
+                "{text}"
+            );
+        }
+        // `"feedback": null` reads the same as an omitted `feedback`.
+        let reply = |feedback: &str| {
+            format!(
+                r#"{{"type":"decisions","tenant":"t","replies":[{{"round":1,
+                "decision":{{"arm":0,"type":"arm"}},"reward":-0{feedback}}}]}}"#
+            )
+        };
+        let expected = WireResponse::Decisions {
+            tenant: "t".into(),
+            replies: vec![WireReply {
+                round: 1,
+                decision: WireDecision::Arm(0),
+                reward: -0.0,
+                feedback: None,
+            }],
+        };
+        for feedback in ["", r#","feedback":null"#, r#", "feedback" : null "#] {
+            let text = reply(feedback);
+            let decoded = WireResponse::from_json_text(&text).unwrap();
+            assert_eq!(decoded, expected, "{text}");
+            match decoded {
+                WireResponse::Decisions { replies, .. } => {
+                    assert!(replies[0].reward.is_sign_negative(), "-0 keeps its sign")
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_every_document_the_contract_forbids() {
+        let scenario = sample_scenario().to_json_text();
+        let bad_requests = [
+            // Duplicate keys, at every level and however spelled.
+            r#"{"type":"decide_many","tenant":"t","tenant":"u","count":1}"#.to_owned(),
+            r#"{"type":"decide_many","type":"decide_many","tenant":"t","count":1}"#.to_owned(),
+            r#"{"type":"decide_many","\u0074ype":"decide_many","tenant":"t","count":1}"#.to_owned(),
+            r#"{"tenant":"t","type":"decide_many","count":1,"type":"metrics"}"#.to_owned(),
+            r#"{"type":"feedback_many","tenant":"t","events":[{"round":1,"round":1,
+                "event":{"type":"single","arm":0,"direct_reward":0,"side_reward":0,
+                "observations":[]}}]}"#
+                .to_owned(),
+            r#"{"type":"feedback_many","tenant":"t","events":[{"round":1,
+                "event":{"type":"single","arm":0,"arm":1,"direct_reward":0,"side_reward":0,
+                "observations":[]}}]}"#
+                .to_owned(),
+            format!(
+                r#"{{"type":"register_tenant","id":"x","scenario":{}}}"#,
+                scenario.replacen("\"seed\":7", "\"seed\":7,\"seed\":7", 1)
+            ),
+            // Unknown fields and unknown tags, at every level.
+            r#"{"type":"decide_many","tenant":"t","count":1,"extra":0}"#.to_owned(),
+            r#"{"type":"decide_quickly","tenant":"t","count":1}"#.to_owned(),
+            r#"{"type":"metrics","verbose":true}"#.to_owned(),
+            r#"{"type":"feedback_many","tenant":"t","events":[{"round":1,
+                "event":{"type":"single","arm":0,"direct_reward":0,"side_reward":0,
+                "observations":[],"strategy":[0]}}]}"#
+                .to_owned(),
+            r#"{"type":"feedback_many","tenant":"t","events":[{"round":1,
+                "event":{"type":"double","arm":0}}]}"#
+                .to_owned(),
+            format!(
+                r#"{{"type":"register_tenant","id":"x","scenario":{},"extra":1}}"#,
+                scenario
+            ),
+            // Missing fields, and `null` for a required field.
+            r#"{"type":"decide_many","tenant":"t"}"#.to_owned(),
+            r#"{"tenant":"t","count":1}"#.to_owned(),
+            r#"{"type":"decide_many","tenant":null,"count":1}"#.to_owned(),
+            // Non-finite numbers, wherever they sit.
+            r#"{"type":"decide_many","tenant":"t","count":1e400}"#.to_owned(),
+            r#"{"type":"feedback_many","tenant":"t","events":[{"round":1,
+                "event":{"type":"single","arm":0,"direct_reward":1e400,"side_reward":0,
+                "observations":[]}}]}"#
+                .to_owned(),
+            r#"{"type":"feedback_many","tenant":"t","events":[{"round":1,
+                "event":{"type":"single","arm":0,"direct_reward":0,"side_reward":0,
+                "observations":[[0,-1e400]]}}]}"#
+                .to_owned(),
+            // Integer fields given a fraction, an exponent, a sign, or too
+            // large a value.
+            r#"{"type":"decide_many","tenant":"t","count":1.0}"#.to_owned(),
+            r#"{"type":"decide_many","tenant":"t","count":1e0}"#.to_owned(),
+            r#"{"type":"decide_many","tenant":"t","count":-0}"#.to_owned(),
+            r#"{"type":"decide_many","tenant":"t","count":4294967296}"#.to_owned(),
+            r#"{"type":"feedback_many","tenant":"t","events":[{"round":18446744073709551616,
+                "event":{"type":"single","arm":0,"direct_reward":0,"side_reward":0,
+                "observations":[]}}]}"#
+                .to_owned(),
+            r#"{"type":"feedback_many","tenant":"t","events":[{"round":1,
+                "event":{"type":"single","arm":0,"direct_reward":0,"side_reward":0,
+                "observations":[[0,1,2]]}}]}"#
+                .to_owned(),
+            // Malformed JSON and bytes after the document.
+            r#"{"type":"decide_many","tenant":"t","count":1} x"#.to_owned(),
+            r#"{"type":"metrics"}{"type":"metrics"}"#.to_owned(),
+            r#"{"type":"metrics",}"#.to_owned(),
+            r#"{"type":"decide_many","tenant":"t\q","count":1}"#.to_owned(),
+            "{\"type\":\"decide_many\",\"tenant\":\"t\u{1}\",\"count\":1}".to_owned(),
+            format!(
+                r#"{{"type":"register_tenant","id":"x","scenario":{}}}"#,
+                "[".repeat(50_000)
+            ),
+            "[".repeat(50_000),
+            String::new(),
+        ];
+        for bad in &bad_requests {
+            assert!(
+                WireRequest::from_json_text(bad).is_err(),
+                "accepted {}",
+                &bad[..bad.len().min(200)]
+            );
+        }
+        let bad_responses = [
+            r#"{"type":"accepted"}"#,
+            r#"{"type":"accepted","count":1,"count":1}"#,
+            r#"{"type":"error","code":"not_a_code","message":"m"}"#,
+            r#"{"type":"ok","status":200}"#,
+            r#"{"type":"decisions","tenant":"t","replies":[{"round":1,"decision":
+                {"type":"arm","arm":0},"reward":1,"feedback":null,"feedback":null}]}"#,
+            r#"{"type":"decisions","tenant":"t","replies":[{"round":1,"decision":
+                {"type":"arm","arm":0,"arms":[0]},"reward":1}]}"#,
+            r#"{"type":"decisions","tenant":"t","replies":[{"round":1,"decision":
+                {"type":"arm","arm":-1},"reward":1}]}"#,
+            r#"{"type":"decisions","tenant":"t","replies":[{"round":1,"decision":
+                {"type":"arm","arm":0},"reward":1e999}]}"#,
+            r#"{"type":"metrics","shards":1,"tenants":1,"total_decides":1,
+                "total_feedback_events":1,"rejected":0,"overload_rejections":0,
+                "decide_latency":{"p50_ns":1,"p50_exact":true,"p99_ns":1,"p99_exact":1},
+                "feedback_latency":{"p50_ns":1,"p50_exact":true,"p99_ns":1,"p99_exact":true}}"#,
+            r#"{"type":"ok"} {"#,
+        ];
+        for bad in bad_responses {
             assert!(WireResponse::from_json_text(bad).is_err(), "accepted {bad}");
         }
     }

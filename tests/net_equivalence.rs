@@ -280,6 +280,92 @@ fn misuse_draws_typed_error_frames_and_keeps_the_connection_open() {
     server.shutdown();
 }
 
+/// A frame nesting 50,000 levels deep — a few hundred kilobytes, far under
+/// the frame cap — draws a `protocol` error frame. Without the parser's
+/// depth cap it would overflow the connection thread's stack, which aborts
+/// the whole process. Afterwards the server still answers on a new
+/// connection.
+#[test]
+fn deeply_nested_frames_draw_a_protocol_error_and_the_server_keeps_serving() {
+    use netband::net::{read_frame, write_frame, MAX_FRAME_BYTES};
+    use std::io::{BufReader, BufWriter};
+    use std::net::TcpStream;
+
+    let (server, _client) = loopback(ServeEngine::with_shards(1), ServerConfig::default());
+    let bomb = "[".repeat(50_000);
+    let hostile = [
+        bomb.clone(),
+        format!(r#"{{"type":"register_tenant","id":"x","scenario":{bomb}}}"#),
+        format!(r#"{{"tenant":{bomb},"type":"decide_many"}}"#),
+    ];
+    let stream = TcpStream::connect(server.local_addr()).expect("connect raw socket");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+    let mut writer = BufWriter::new(stream);
+    for frame in &hostile {
+        write_frame(&mut writer, frame).expect("send hostile frame");
+        let reply = read_frame(&mut reader, MAX_FRAME_BYTES)
+            .expect("server answers")
+            .expect("connection stays open");
+        match WireResponse::from_json_text(&reply).expect("error frame decodes") {
+            WireResponse::Error {
+                code: WireErrorCode::Protocol,
+                ..
+            } => {}
+            other => panic!("expected a protocol error frame, got {other:?}"),
+        }
+    }
+    let mut fresh = NetClient::connect(server.local_addr()).expect("connect after the attack");
+    fresh.metrics().expect("server still answers");
+    assert_eq!(
+        server
+            .stats()
+            .decode_errors
+            .load(std::sync::atomic::Ordering::Relaxed),
+        hostile.len() as u64
+    );
+    server.shutdown();
+}
+
+/// The server encodes every response into one buffer per connection. An
+/// oversized frame after earlier replies must still draw exactly one clean
+/// `too_large` document, not one appended to the previous reply.
+#[test]
+fn an_oversized_frame_after_replies_draws_one_clean_too_large_frame() {
+    use netband::net::{read_frame, write_frame, MAX_FRAME_BYTES};
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+
+    let config = ServerConfig {
+        max_frame_bytes: 1024,
+        ..ServerConfig::default()
+    };
+    let (server, _client) = loopback(ServeEngine::with_shards(1), config);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw socket");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+    write_frame(&mut stream, &WireRequest::Metrics.to_json_text()).expect("send metrics");
+    let reply = read_frame(&mut reader, MAX_FRAME_BYTES)
+        .expect("metrics reply")
+        .expect("connection open");
+    assert!(matches!(
+        WireResponse::from_json_text(&reply),
+        Ok(WireResponse::Metrics(_))
+    ));
+    stream
+        .write_all(&2048u32.to_be_bytes())
+        .expect("announce an oversized frame");
+    let reply = read_frame(&mut reader, MAX_FRAME_BYTES)
+        .expect("too_large reply")
+        .expect("the error frame arrives before the close");
+    match WireResponse::from_json_text(&reply).expect("one clean document") {
+        WireResponse::Error {
+            code: WireErrorCode::TooLarge,
+            ..
+        } => {}
+        other => panic!("expected a too_large error frame, got {other:?}"),
+    }
+    server.shutdown();
+}
+
 /// The admission-control contract of the front end: a full shard queue
 /// surfaces as a **retryable `overloaded` error frame** — the server answers
 /// immediately instead of parking the connection, and the same request
