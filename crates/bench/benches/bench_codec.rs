@@ -15,10 +15,9 @@
 //! CI smoke run: it skips the JSON write and fails on a pathological
 //! regression (generous absolute ns/reply ceilings).
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use netband_net::proto::{event_to_wire, reply_to_wire};
+use netband_bench::{machine_fingerprint_json, workspace_root};
 use netband_serve::{RegisterTenantSpec, ServeEngine};
 use netband_spec::wire::{WireFeedback, WireRequest, WireResponse};
 use netband_spec::{presets, FeedbackSpec, ScenarioSpec};
@@ -104,18 +103,12 @@ fn frames() -> (Vec<String>, Vec<String>) {
         client
             .decide_many(id, WINDOW, &mut out)
             .expect("decide_many");
-        let replies: Vec<_> = out
+        let replies: Vec<_> = out.drain(..).map(|r| r.expect("decide")).collect();
+        let events = replies
             .iter()
-            .map(|r| reply_to_wire(r.as_ref().expect("decide")))
-            .collect();
-        let events = out
-            .iter()
-            .map(|r| {
-                let r = r.as_ref().expect("decide");
-                WireFeedback {
-                    round: r.round,
-                    event: event_to_wire(r.feedback.as_ref().expect("echo")),
-                }
+            .map(|r| WireFeedback {
+                round: r.round,
+                event: r.feedback.clone().expect("echo"),
             })
             .collect();
         decisions.push(
@@ -213,41 +206,7 @@ fn run(fast: bool) -> Vec<Row> {
     ]
 }
 
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-}
-
-/// First line of `program args` run from the workspace root, or `unknown`.
-fn command_line(program: &str, args: &[&str]) -> String {
-    std::process::Command::new(program)
-        .args(args)
-        .current_dir(workspace_root())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .and_then(|s| s.lines().next().map(|l| l.trim().to_owned()))
-        .unwrap_or_else(|| "unknown".into())
-}
-
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_owned())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
 fn write_json(rows: &[Row]) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let rows: Vec<String> = rows
         .iter()
         .map(|r| {
@@ -259,12 +218,8 @@ fn write_json(rows: &[Row]) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"wire_codec\",\n  \"window\": {WINDOW},\n  \
-         \"available_parallelism\": {cores},\n  \"cpu_model\": {:?},\n  \
-         \"rustc\": {:?},\n  \"git_rev\": {:?},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        cpu_model(),
-        command_line("rustc", &["-V"]),
-        command_line("git", &["describe", "--always", "--dirty"]),
+        "{{\n  \"bench\": \"wire_codec\",\n  \"window\": {WINDOW},\n{}  \"rows\": [\n{}\n  ]\n}}\n",
+        machine_fingerprint_json(),
         rows.join(",\n")
     );
     let path = workspace_root().join("BENCH_codec.json");

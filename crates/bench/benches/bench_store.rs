@@ -29,10 +29,11 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use netband_env::SinglePlayFeedback;
+use netband_bench::{machine_fingerprint_json, workspace_root};
+use netband_env::{FeedbackEvent, SinglePlayFeedback};
 use netband_serve::{EngineConfig, RegisterTenantSpec, ServeEngine, StoreConfig};
 use netband_spec::{
-    ArmsSpec, FeedbackSpec, GraphSpec, PolicySpec, ScenarioSpec, SideBonus, WalRecord, WireEvent,
+    ArmsSpec, FeedbackSpec, GraphSpec, PolicySpec, ScenarioSpec, SideBonus, WalRecord,
     WorkloadSpec, SPEC_VERSION,
 };
 use netband_store::ShardStore;
@@ -87,7 +88,7 @@ fn feedback_record(round: u64) -> WalRecord {
     WalRecord::Feedback {
         tenant: "bench-tenant".into(),
         round,
-        event: WireEvent::Single(SinglePlayFeedback {
+        event: FeedbackEvent::Single(SinglePlayFeedback {
             arm: (round % 10) as usize,
             direct_reward: 1.0,
             side_reward: 0.5,
@@ -210,13 +211,6 @@ fn run_recovery_cell(rounds: u64) -> RecoveryCell {
     }
 }
 
-fn workspace_root() -> PathBuf {
-    // crates/bench → workspace root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-}
-
 fn write_json(appends: &[AppendCell], recoveries: &[RecoveryCell]) {
     let append_rows: Vec<String> = appends
         .iter()
@@ -246,8 +240,9 @@ fn write_json(appends: &[AppendCell], recoveries: &[RecoveryCell]) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"store_durability\",\n  \"appends\": [\n{}\n  ],\n  \
+        "{{\n  \"bench\": \"store_durability\",\n{}  \"appends\": [\n{}\n  ],\n  \
          \"recovery\": [\n{}\n  ]\n}}\n",
+        machine_fingerprint_json(),
         append_rows.join(",\n"),
         recovery_rows.join(",\n")
     );

@@ -21,6 +21,9 @@
 //! * [`drift`] — [`DriftSchedule`], deterministic nonstationarity: gradual
 //!   mean drift, abrupt change points, and arm churn as a pure function of
 //!   the round number.
+//! * [`served`] — [`Decision`], [`FeedbackEvent`], [`DecideReply`] and
+//!   [`TenantMetrics`]: the values a served tenant exchanges with its
+//!   callers, shared by the serving engine, the wire protocol and the store.
 //!
 //! # Example
 //!
@@ -51,6 +54,7 @@ pub mod batch;
 pub mod distributions;
 pub mod drift;
 pub mod feasible;
+pub mod served;
 pub mod workloads;
 
 pub use arms::ArmSet;
@@ -61,6 +65,7 @@ pub use batch::{FeedbackBatch, MAX_WARM_SLOTS};
 pub use distributions::RewardDistribution;
 pub use drift::{ChangePoint, ChurnWindow, DriftSchedule, GradualDrift};
 pub use feasible::{FeasibleSet, StrategyBank, StrategyFamily};
+pub use served::{DecideReply, Decision, FeedbackEvent, TenantMetrics};
 pub use workloads::Workload;
 
 /// Identifier of an arm; re-exported from `netband-graph` so downstream code

@@ -4,9 +4,8 @@ use std::fmt;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use netband_spec::wire::{
-    WireErrorCode, WireMetrics, WireReply, WireRequest, WireResponse, WireTelemetry,
-};
+use netband_env::DecideReply;
+use netband_spec::wire::{WireErrorCode, WireMetrics, WireRequest, WireResponse, WireTelemetry};
 use netband_spec::{ScenarioSpec, SpecError, WireFeedback};
 
 use crate::frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
@@ -135,7 +134,7 @@ impl NetClient {
     }
 
     /// Serves `count` decisions for `tenant` in one frame.
-    pub fn decide_many(&mut self, tenant: &str, count: u32) -> Result<Vec<WireReply>, NetError> {
+    pub fn decide_many(&mut self, tenant: &str, count: u32) -> Result<Vec<DecideReply>, NetError> {
         self.expect(
             &WireRequest::DecideMany {
                 tenant: tenant.to_owned(),

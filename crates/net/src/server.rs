@@ -22,7 +22,7 @@
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 // Relaxed counter bumps only — ordering is irrelevant for monotonic stats.
 use std::sync::atomic::Ordering::Relaxed;
 use std::thread;
@@ -35,9 +35,7 @@ use netband_spec::wire::{WireErrorCode, WireRequest, WireResponse};
 
 use crate::frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 use crate::obs::NetStats;
-use crate::proto::{
-    error_to_wire, event_from_wire, metrics_to_wire, reply_to_wire, telemetry_to_wire,
-};
+use crate::proto::{error_to_wire, metrics_to_wire, telemetry_to_wire};
 
 /// Server knobs. The defaults are deliberate: frames are capped well below
 /// anything that could exhaust memory, batches well below anything that could
@@ -72,17 +70,17 @@ pub struct NetServer {
     engine: Arc<ServeEngine>,
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_handle: Option<thread::JoinHandle<()>>,
-    shared: Arc<ConnectionRegistry>,
+    /// The accept thread; it hands back its live connections when it stops.
+    accept_handle: Option<thread::JoinHandle<Vec<Connection>>>,
     stats: Arc<NetStats>,
 }
 
-/// Live-connection registry shared with the accept loop: streams so shutdown
-/// can unblock reads, handles so shutdown can join the handler threads.
-#[derive(Default)]
-struct ConnectionRegistry {
-    streams: Mutex<Vec<TcpStream>>,
-    handlers: Mutex<Vec<thread::JoinHandle<()>>>,
+/// A live connection as the accept loop tracks it: a clone of the stream so
+/// shutdown can unblock the handler's read, and the handler so shutdown can
+/// join it.
+struct Connection {
+    stream: TcpStream,
+    handler: thread::JoinHandle<()>,
 }
 
 impl NetServer {
@@ -100,24 +98,20 @@ impl NetServer {
         // tens of milliseconds is irrelevant next to connection lifetimes.
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(ConnectionRegistry::default());
         let stats = Arc::new(NetStats::new());
         let accept_handle = {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
-            let shared = Arc::clone(&shared);
             let stats = Arc::clone(&stats);
             thread::Builder::new()
                 .name("netband-net-accept".into())
-                .spawn(move || accept_loop(listener, engine, config, stop, shared, stats))
-                .expect("spawn accept thread")
+                .spawn(move || accept_loop(listener, engine, config, stop, stats))?
         };
         Ok(NetServer {
             engine,
             local_addr,
             stop,
             accept_handle: Some(accept_handle),
-            shared,
             stats,
         })
     }
@@ -145,20 +139,17 @@ impl NetServer {
 
     fn shutdown_in_place(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Ok(streams) = self.shared.streams.lock() {
-            for stream in streams.iter() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-        let handlers = {
-            let mut guard = self.shared.handlers.lock().expect("handler registry");
-            std::mem::take(&mut *guard)
+        // The accept loop sees `stop` within one tick, so once it is joined
+        // no connection can be added behind the kicks below.
+        let connections = match self.accept_handle.take() {
+            Some(handle) => handle.join().unwrap_or_default(),
+            None => return,
         };
-        for handle in handlers {
-            let _ = handle.join();
+        for connection in &connections {
+            let _ = connection.stream.shutdown(Shutdown::Both);
+        }
+        for connection in connections {
+            let _ = connection.handler.join();
         }
     }
 }
@@ -174,29 +165,46 @@ fn accept_loop(
     engine: Arc<ServeEngine>,
     config: ServerConfig,
     stop: Arc<AtomicBool>,
-    shared: Arc<ConnectionRegistry>,
     stats: Arc<NetStats>,
-) {
+) -> Vec<Connection> {
+    let mut connections: Vec<Connection> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
                 stats.connections_accepted.fetch_add(1, Relaxed);
-                if let Ok(mut streams) = shared.streams.lock() {
-                    if let Ok(clone) = stream.try_clone() {
-                        streams.push(clone);
-                    }
+                // Connections that have closed since the last accept give
+                // back their stream clone and thread here, so the server
+                // holds resources for live connections only.
+                let (finished, live) = std::mem::take(&mut connections)
+                    .into_iter()
+                    .partition(|c| c.handler.is_finished());
+                connections = live;
+                for connection in finished {
+                    let _ = connection.handler.join();
                 }
+                // Without a clone shutdown could not kick the handler, and
+                // without a thread nothing would serve it: either failure
+                // (fd or thread exhaustion) closes this connection, and the
+                // loop carries on.
+                let Ok(kick) = stream.try_clone() else {
+                    continue;
+                };
                 let engine = Arc::clone(&engine);
                 let config = config.clone();
                 let stop = Arc::clone(&stop);
                 let stats = Arc::clone(&stats);
-                let handle = thread::Builder::new()
+                let spawned = thread::Builder::new()
                     .name("netband-net-conn".into())
-                    .spawn(move || connection_loop(stream, &engine, &config, &stop, &stats))
-                    .expect("spawn connection thread");
-                if let Ok(mut handlers) = shared.handlers.lock() {
-                    handlers.push(handle);
+                    .spawn(move || connection_loop(stream, &engine, &config, &stop, &stats));
+                match spawned {
+                    Ok(handler) => connections.push(Connection {
+                        stream: kick,
+                        handler,
+                    }),
+                    Err(_) => {
+                        let _ = kick.shutdown(Shutdown::Both);
+                    }
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -205,6 +213,7 @@ fn accept_loop(
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
+    connections
 }
 
 fn connection_loop(
@@ -237,12 +246,9 @@ fn connection_loop(
             Err(FrameError::TooLarge { len, max }) => {
                 // The refused payload is still in the pipe — the stream is
                 // unrecoverable. Explain, then close.
-                let response = WireResponse::Error {
-                    code: WireErrorCode::TooLarge,
-                    message: format!("frame of {len} bytes exceeds the {max}-byte cap"),
-                };
                 out.clear();
-                response.write_json(&mut out);
+                let message = format!("frame of {len} bytes exceeds the {max}-byte cap");
+                error(&mut out, WireErrorCode::TooLarge, message);
                 let _ = write_frame(&mut writer, &out);
                 return;
             }
@@ -250,24 +256,16 @@ fn connection_loop(
         };
         stats.frames_in.fetch_add(1, Relaxed);
         stats.bytes_in.fetch_add(text.len() as u64, Relaxed);
-        let response = handle_request(engine, &mut client, &mut scratch, config, &text);
-        match &response {
-            WireResponse::Error {
-                code: WireErrorCode::Protocol,
-                ..
-            } => {
+        out.clear();
+        match handle_request(engine, &mut client, &mut scratch, config, &text, &mut out) {
+            Some(WireErrorCode::Protocol) => {
                 stats.decode_errors.fetch_add(1, Relaxed);
             }
-            WireResponse::Error {
-                code: WireErrorCode::Overloaded,
-                ..
-            } => {
+            Some(WireErrorCode::Overloaded) => {
                 stats.overload_rejections.fetch_add(1, Relaxed);
             }
             _ => {}
         }
-        out.clear();
-        response.write_json(&mut out);
         if write_frame(&mut writer, &out).is_err() {
             return;
         }
@@ -285,103 +283,93 @@ impl Drop for DecrementOnDrop<'_> {
     }
 }
 
-/// Serves one request document. Infallible by construction: every failure
-/// mode becomes an error *response*.
+/// Appends an error response document to `out` and returns its code.
+fn error(out: &mut String, code: WireErrorCode, message: String) -> Option<WireErrorCode> {
+    WireResponse::Error { code, message }.write_json(out);
+    Some(code)
+}
+
+/// Appends the error response document for an engine error.
+fn serve_error(out: &mut String, e: &ServeError) -> Option<WireErrorCode> {
+    let (code, message) = error_to_wire(e);
+    error(out, code, message)
+}
+
+/// Serves one request document, appending its response document to `out`.
+/// Infallible by construction: every failure mode becomes an error
+/// response, whose code is returned.
+///
+/// A `decisions` response is written straight from the engine's replies in
+/// `scratch`, so no reply or feedback payload is copied on the way out.
 fn handle_request(
     engine: &ServeEngine,
     client: &mut ServeClient<'_>,
     scratch: &mut Vec<Result<DecideReply, ServeError>>,
     config: &ServerConfig,
     text: &str,
-) -> WireResponse {
+    out: &mut String,
+) -> Option<WireErrorCode> {
     let request = match WireRequest::from_json_text(text) {
         Ok(request) => request,
         Err(e) => {
-            return WireResponse::Error {
-                code: WireErrorCode::Protocol,
-                message: format!("invalid request document: {e}"),
-            }
+            let message = format!("invalid request document: {e}");
+            return error(out, WireErrorCode::Protocol, message);
         }
     };
-    match request {
+    let response = match request {
         WireRequest::DecideMany { tenant, count } => {
             if count == 0 {
-                return WireResponse::Error {
-                    code: WireErrorCode::Invalid,
-                    message: "decide_many count must be at least 1".into(),
-                };
+                let message = "decide_many count must be at least 1".into();
+                return error(out, WireErrorCode::Invalid, message);
             }
             if count > config.max_batch {
-                return WireResponse::Error {
-                    code: WireErrorCode::TooLarge,
-                    message: format!(
-                        "decide_many count {count} exceeds the server's max_batch {}",
-                        config.max_batch
-                    ),
-                };
+                let message = format!(
+                    "decide_many count {count} exceeds the server's max_batch {}",
+                    config.max_batch
+                );
+                return error(out, WireErrorCode::TooLarge, message);
             }
             if let Err(e) = client.try_decide_many(&tenant, count as usize, scratch) {
-                let (code, message) = error_to_wire(&e);
-                return WireResponse::Error { code, message };
+                return serve_error(out, &e);
             }
-            let mut replies = Vec::with_capacity(scratch.len());
-            for entry in scratch.iter() {
-                match entry {
-                    Ok(reply) => replies.push(reply_to_wire(reply)),
-                    Err(e) => {
-                        let (code, message) = error_to_wire(e);
-                        return WireResponse::Error { code, message };
-                    }
-                }
+            if let Some(e) = scratch.iter().find_map(|entry| entry.as_ref().err()) {
+                return serve_error(out, e);
             }
-            WireResponse::Decisions { tenant, replies }
+            WireResponse::write_decisions(out, &tenant, scratch.iter().flatten());
+            return None;
         }
         WireRequest::FeedbackMany { tenant, events } => {
             if events.len() as u64 > u64::from(config.max_batch) {
-                return WireResponse::Error {
-                    code: WireErrorCode::TooLarge,
-                    message: format!(
-                        "feedback window of {} events exceeds the server's max_batch {}",
-                        events.len(),
-                        config.max_batch
-                    ),
-                };
+                let message = format!(
+                    "feedback window of {} events exceeds the server's max_batch {}",
+                    events.len(),
+                    config.max_batch
+                );
+                return error(out, WireErrorCode::TooLarge, message);
             }
-            let window = events
-                .into_iter()
-                .map(|f| (f.round, event_from_wire(f.event)));
+            let window = events.into_iter().map(|f| (f.round, f.event));
             match client.try_feedback_many(&tenant, window) {
                 Ok(count) => WireResponse::Accepted {
                     count: count as u64,
                 },
-                Err(e) => {
-                    let (code, message) = error_to_wire(&e);
-                    WireResponse::Error { code, message }
-                }
+                Err(e) => return serve_error(out, &e),
             }
         }
         WireRequest::RegisterTenant { id, scenario } => {
             match engine.register_tenant_spec(&RegisterTenantSpec::new(id, *scenario)) {
                 Ok(()) => WireResponse::Ok,
-                Err(e) => {
-                    let (code, message) = error_to_wire(&e);
-                    WireResponse::Error { code, message }
-                }
+                Err(e) => return serve_error(out, &e),
             }
         }
         WireRequest::Metrics => match engine.metrics() {
             Ok(report) => WireResponse::Metrics(metrics_to_wire(&report)),
-            Err(e) => {
-                let (code, message) = error_to_wire(&e);
-                WireResponse::Error { code, message }
-            }
+            Err(e) => return serve_error(out, &e),
         },
         WireRequest::Telemetry { tenant } => match engine.telemetry(&tenant) {
             Ok(telemetry) => WireResponse::Telemetry(Box::new(telemetry_to_wire(&telemetry))),
-            Err(e) => {
-                let (code, message) = error_to_wire(&e);
-                WireResponse::Error { code, message }
-            }
+            Err(e) => return serve_error(out, &e),
         },
-    }
+    };
+    response.write_json(out);
+    None
 }

@@ -33,31 +33,12 @@ use std::collections::{HashMap, HashSet};
 use rand::rngs::StdRng;
 
 use netband_sim::regret::RegretTrace;
-use netband_spec::{
-    StoredTenantMetrics, StoredTenantSnapshot, WalRecord, WireEvent, STORE_VERSION,
-};
+use netband_spec::{StoredTenantSnapshot, WalRecord, STORE_VERSION};
 use netband_store::{ShardStore, StoreConfig};
 
 use crate::api::{FeedbackEvent, FlushPolicy, ServeError, TenantId};
-use crate::metrics::TenantMetrics;
 use crate::shard::ShardBoot;
 use crate::tenant::{Tenant, TenantKind, TenantSpec};
-
-/// Converts a client-facing feedback event into its wire/stored form.
-pub(crate) fn event_to_wire(event: &FeedbackEvent) -> WireEvent {
-    match event {
-        FeedbackEvent::Single(fb) => WireEvent::Single(fb.clone()),
-        FeedbackEvent::Combinatorial(fb) => WireEvent::Combinatorial(fb.clone()),
-    }
-}
-
-/// Converts a stored feedback event back into its client-facing form.
-pub(crate) fn wire_to_event(event: WireEvent) -> FeedbackEvent {
-    match event {
-        WireEvent::Single(fb) => FeedbackEvent::Single(fb),
-        WireEvent::Combinatorial(fb) => FeedbackEvent::Combinatorial(fb),
-    }
-}
 
 /// Captures a live tenant's complete durable state, without flushing its
 /// pending feedback (see the module docs).
@@ -78,7 +59,7 @@ pub(crate) fn capture_tenant(t: &Tenant) -> Result<StoredTenantSnapshot, ServeEr
             policy.save_state(),
             pending
                 .iter()
-                .map(|(round, fb)| (round, WireEvent::Single(fb.clone())))
+                .map(|(round, fb)| (round, FeedbackEvent::Single(fb.clone())))
                 .collect::<Vec<_>>(),
         ),
         TenantKind::Combinatorial {
@@ -87,7 +68,7 @@ pub(crate) fn capture_tenant(t: &Tenant) -> Result<StoredTenantSnapshot, ServeEr
             policy.save_state(),
             pending
                 .iter()
-                .map(|(round, fb)| (round, WireEvent::Combinatorial(fb.clone())))
+                .map(|(round, fb)| (round, FeedbackEvent::Combinatorial(fb.clone())))
                 .collect(),
         ),
     };
@@ -108,13 +89,7 @@ pub(crate) fn capture_tenant(t: &Tenant) -> Result<StoredTenantSnapshot, ServeEr
         realised: t.trace.realised().to_vec(),
         pseudo: t.trace.pseudo().to_vec(),
         pending,
-        metrics: StoredTenantMetrics {
-            decides: t.metrics.decides,
-            feedback_events: t.metrics.feedback_events,
-            batches_flushed: t.metrics.batches_flushed,
-            events_applied: t.metrics.events_applied,
-            max_batch: t.metrics.max_batch,
-        },
+        metrics: t.metrics.clone(),
     })
 }
 
@@ -165,8 +140,8 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
                 .map_err(|e| ServeError::Store(format!("tenant {id:?}: {e}")))?;
             for (round, event) in pending {
                 match event {
-                    WireEvent::Single(fb) => queue.push(round, fb),
-                    WireEvent::Combinatorial(_) => {
+                    FeedbackEvent::Single(fb) => queue.push(round, fb),
+                    FeedbackEvent::Combinatorial(_) => {
                         return Err(ServeError::FeedbackKindMismatch(id));
                     }
                 }
@@ -182,8 +157,8 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
                 .map_err(|e| ServeError::Store(format!("tenant {id:?}: {e}")))?;
             for (round, event) in pending {
                 match event {
-                    WireEvent::Combinatorial(fb) => queue.push(round, fb),
-                    WireEvent::Single(_) => {
+                    FeedbackEvent::Combinatorial(fb) => queue.push(round, fb),
+                    FeedbackEvent::Single(_) => {
                         return Err(ServeError::FeedbackKindMismatch(id));
                     }
                 }
@@ -197,13 +172,7 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
     // Lengths were validated against `round` by the document codec, so the
     // constructor's length panic is unreachable here.
     tenant.trace = RegretTrace::from_parts(realised, pseudo);
-    tenant.metrics = TenantMetrics {
-        decides: metrics.decides,
-        feedback_events: metrics.feedback_events,
-        batches_flushed: metrics.batches_flushed,
-        events_applied: metrics.events_applied,
-        max_batch: metrics.max_batch,
-    };
+    tenant.metrics = metrics;
     Ok(tenant)
 }
 
@@ -370,7 +339,7 @@ fn replay(
         } => {
             durability.touch(&tenant);
             let t = known(tenants, &tenant)?;
-            t.feedback(round, wire_to_event(event))?;
+            t.feedback(round, event)?;
         }
         WalRecord::Flush { tenant } => {
             durability.touch(&tenant);

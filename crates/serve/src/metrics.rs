@@ -15,43 +15,14 @@ pub use netband_obs::{
     LATENCY_BUCKETS,
 };
 
+/// A tenant's serving counters, defined in `netband-env` so the store
+/// documents can persist them as they are.
+pub use netband_env::TenantMetrics;
+
 /// Stage-timing sample rate: one decide in this many records its per-stage
 /// split (the rest record only the end-to-end decide latency). Keeps the
 /// extra monotonic-clock reads off the common path.
 pub const STAGE_SAMPLE_EVERY: u64 = 32;
-
-/// Counters of one tenant's serving activity.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TenantMetrics {
-    /// Decisions served.
-    pub decides: u64,
-    /// Feedback events accepted into the pending queue.
-    pub feedback_events: u64,
-    /// Feedback batches flushed into the policy.
-    pub batches_flushed: u64,
-    /// Feedback events applied by those flushes.
-    pub events_applied: u64,
-    /// Largest batch applied by a single flush.
-    pub max_batch: u64,
-}
-
-impl TenantMetrics {
-    /// Mean flushed-batch size (0 when nothing has been flushed).
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches_flushed == 0 {
-            0.0
-        } else {
-            self.events_applied as f64 / self.batches_flushed as f64
-        }
-    }
-
-    /// Records one flush of `batch` events.
-    pub fn record_flush(&mut self, batch: u64) {
-        self.batches_flushed += 1;
-        self.events_applied += batch;
-        self.max_batch = self.max_batch.max(batch);
-    }
-}
 
 /// Counters of one shard's command loop.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -422,7 +422,7 @@ pub(crate) fn shard_loop(commands: Receiver<Command>, trace_capacity: usize, boo
                 let resident = ensure_resident(&mut tenants, &mut durable, &mut trace, &tenant);
                 // Clone for the log before the tenant consumes the event;
                 // only taken on durable shards.
-                let logged = durable.as_ref().map(|_| durable::event_to_wire(&event));
+                let logged = durable.as_ref().map(|_| event.clone());
                 let outcome = match (resident, tenants.get_mut(&tenant)) {
                     (Ok(()), Some(t)) => Some(t.feedback(round, event)),
                     _ => None,
@@ -463,7 +463,7 @@ pub(crate) fn shard_loop(commands: Receiver<Command>, trace_capacity: usize, boo
                     // Move the event out, leaving a (heap-free) default
                     // behind so the entry's tenant string can be recycled.
                     let event = std::mem::take(&mut request.event);
-                    let logged = durable.as_ref().map(|_| durable::event_to_wire(&event));
+                    let logged = durable.as_ref().map(|_| event.clone());
                     let outcome = match (resident, tenants.get_mut(&request.tenant)) {
                         (Ok(()), Some(t)) => Some(t.feedback(request.round, event)),
                         _ => None,

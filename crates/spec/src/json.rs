@@ -299,9 +299,13 @@ pub(crate) fn write_bool(out: &mut String, v: bool) {
 }
 
 /// Appends `items` as a JSON array, each element written by `item`.
-pub(crate) fn write_array<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+pub(crate) fn write_array<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut item: impl FnMut(&mut String, I::Item),
+) {
     out.push('[');
-    for (i, value) in items.iter().enumerate() {
+    for (i, value) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

@@ -41,12 +41,13 @@
 //! load the state on top.
 
 use netband_core::PolicyState;
+use netband_env::{FeedbackEvent, TenantMetrics};
 
 use crate::codec::{scenario_from_json, scenario_to_json};
 use crate::error::SpecError;
 use crate::json::{required, write_array, write_bool, write_f64, write_string, write_u64, Reader};
 use crate::model::ScenarioSpec;
-use crate::wire::{read_event, read_round_event, write_event, write_round_event, WireEvent};
+use crate::wire::{read_event, read_round_event, write_event, write_round_event};
 
 /// Version stamp of the durable-state document format. Bump when a field
 /// changes meaning; decoding any other version is a hard error
@@ -56,24 +57,6 @@ pub const STORE_VERSION: u64 = 1;
 // ---------------------------------------------------------------------------
 // model types
 // ---------------------------------------------------------------------------
-
-/// A tenant's serving counters, persisted so a recovered engine reports the
-/// same metrics it would have reported without the crash. Mirrors
-/// `netband-serve`'s `TenantMetrics` (which this crate cannot name without a
-/// dependency cycle).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoredTenantMetrics {
-    /// Decisions served.
-    pub decides: u64,
-    /// Feedback events accepted into the pending queue.
-    pub feedback_events: u64,
-    /// Feedback batches flushed into the policy.
-    pub batches_flushed: u64,
-    /// Feedback events applied by those flushes.
-    pub events_applied: u64,
-    /// Largest batch applied by a single flush.
-    pub max_batch: u64,
-}
 
 /// One tenant's complete durable state: everything needed to resume the
 /// tenant bit-exactly that is not derivable from its scenario document.
@@ -112,9 +95,10 @@ pub struct StoredTenantSnapshot {
     /// Feedback events queued but not yet flushed, in **arrival order** (the
     /// order that, re-queued on restore, reproduces the eventual flush's
     /// stable sort exactly).
-    pub pending: Vec<(u64, WireEvent)>,
-    /// Serving counters.
-    pub metrics: StoredTenantMetrics,
+    pub pending: Vec<(u64, FeedbackEvent)>,
+    /// Serving counters, persisted so a recovered engine reports the same
+    /// metrics it would have reported without the crash.
+    pub metrics: TenantMetrics,
 }
 
 /// A compacted checkpoint of one shard: every resident (and evicted) tenant
@@ -181,7 +165,7 @@ pub enum WalRecord {
         /// The round the event answers.
         round: u64,
         /// The event body.
-        event: WireEvent,
+        event: FeedbackEvent,
     },
     /// A tenant's pending feedback was explicitly flushed into its policy.
     /// (Threshold-triggered flushes are implied by the `Feedback` records
@@ -282,10 +266,10 @@ fn read_policy_state(r: &mut Reader<'_>) -> Result<PolicyState, SpecError> {
 }
 
 // ---------------------------------------------------------------------------
-// StoredTenantMetrics
+// TenantMetrics
 // ---------------------------------------------------------------------------
 
-fn write_metrics(out: &mut String, metrics: &StoredTenantMetrics) {
+fn write_metrics(out: &mut String, metrics: &TenantMetrics) {
     out.push_str(r#"{"decides":"#);
     write_u64(out, metrics.decides);
     out.push_str(r#","feedback_events":"#);
@@ -299,8 +283,8 @@ fn write_metrics(out: &mut String, metrics: &StoredTenantMetrics) {
     out.push('}');
 }
 
-fn read_metrics(r: &mut Reader<'_>) -> Result<StoredTenantMetrics, SpecError> {
-    const CTX: &str = "StoredTenantMetrics";
+fn read_metrics(r: &mut Reader<'_>) -> Result<TenantMetrics, SpecError> {
+    const CTX: &str = "TenantMetrics";
     let (mut decides, mut feedback_events, mut batches_flushed) = (None, None, None);
     let (mut events_applied, mut max_batch) = (None, None);
     r.object(CTX, |r, key| match key {
@@ -311,7 +295,7 @@ fn read_metrics(r: &mut Reader<'_>) -> Result<StoredTenantMetrics, SpecError> {
         "max_batch" => r.field(key, &mut max_batch, |r| r.u64(CTX)),
         _ => Ok(false),
     })?;
-    Ok(StoredTenantMetrics {
+    Ok(TenantMetrics {
         decides: required(decides, CTX, "decides")?,
         feedback_events: required(feedback_events, CTX, "feedback_events")?,
         batches_flushed: required(batches_flushed, CTX, "batches_flushed")?,
@@ -720,8 +704,8 @@ mod tests {
         }
     }
 
-    fn sample_event(arm: usize, reward: f64) -> WireEvent {
-        WireEvent::Single(SinglePlayFeedback {
+    fn sample_event(arm: usize, reward: f64) -> FeedbackEvent {
+        FeedbackEvent::Single(SinglePlayFeedback {
             arm,
             direct_reward: reward,
             side_reward: reward + 0.5,
@@ -751,7 +735,7 @@ mod tests {
             realised: vec![0.5, -0.25, 0.0, 1.0 / 3.0],
             pseudo: vec![0.5, 0.5, 0.0, 0.0],
             pending: vec![(3, sample_event(1, 1.0)), (1, sample_event(0, 0.0))],
-            metrics: StoredTenantMetrics {
+            metrics: TenantMetrics {
                 decides: 4,
                 feedback_events: 2,
                 batches_flushed: 1,
@@ -985,7 +969,7 @@ mod tests {
                 realised: trace.iter().map(|&(r, _)| r).collect(),
                 pseudo: trace.iter().map(|&(_, p)| p).collect(),
                 pending: Vec::new(),
-                metrics: StoredTenantMetrics::default(),
+                metrics: TenantMetrics::default(),
             };
             let text = snapshot.to_json_text();
             let back = StoredTenantSnapshot::from_json_text(&text).unwrap();

@@ -15,6 +15,10 @@
 //! * **no new dependencies** — the same hand-rolled [`crate::json`] codec,
 //!   over `std` only.
 //!
+//! The served values inside the documents — [`DecideReply`], [`Decision`]
+//! and [`FeedbackEvent`] — are the engine's own types from `netband-env`, so
+//! a decoded reply needs no conversion on either side of the socket.
+//!
 //! These are the hot documents — every served decision crosses the codec
 //! twice — so they never become a [`Json`](crate::json::Json) tree. The
 //! writer appends each document straight into a caller-owned `String`
@@ -47,7 +51,9 @@
 //! was full and the request was **not** enqueued — the client should back off
 //! and retry, exactly like an HTTP 503.
 
-use netband_env::{CombinatorialFeedback, SinglePlayFeedback};
+use netband_env::{
+    CombinatorialFeedback, DecideReply, Decision, FeedbackEvent, SinglePlayFeedback,
+};
 
 use crate::codec::{scenario_from_json, scenario_to_json};
 use crate::error::SpecError;
@@ -104,18 +110,7 @@ pub struct WireFeedback {
     /// The tenant-local round (1-based) of the decision this answers.
     pub round: u64,
     /// The revealed observations.
-    pub event: WireEvent,
-}
-
-/// A feedback event body — mirrors `netband-serve`'s `FeedbackEvent` (which
-/// this crate cannot name without a dependency cycle) over the shared
-/// `netband-env` payload structs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireEvent {
-    /// Feedback for a single-play decision.
-    Single(SinglePlayFeedback),
-    /// Feedback for a combinatorial decision.
-    Combinatorial(CombinatorialFeedback),
+    pub event: FeedbackEvent,
 }
 
 /// A server → client document.
@@ -126,7 +121,7 @@ pub enum WireResponse {
         /// Tenant id, echoed.
         tenant: String,
         /// One entry per served decision, in round order.
-        replies: Vec<WireReply>,
+        replies: Vec<DecideReply>,
     },
     /// Reply to [`WireRequest::RegisterTenant`].
     Ok,
@@ -148,29 +143,6 @@ pub enum WireResponse {
         /// Human-readable detail.
         message: String,
     },
-}
-
-/// One served decision — mirrors `netband-serve`'s `DecideReply`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireReply {
-    /// The tenant-local round (1-based) of this decision.
-    pub round: u64,
-    /// The chosen arm or super-arm.
-    pub decision: WireDecision,
-    /// The realised reward, bit-exact across the wire.
-    pub reward: f64,
-    /// The revealed feedback to route back later; `None` when the tenant is
-    /// configured without feedback echo.
-    pub feedback: Option<WireEvent>,
-}
-
-/// The chosen arm or super-arm — mirrors `netband-serve`'s `Decision`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireDecision {
-    /// A single-play tenant pulled one arm.
-    Arm(ArmId),
-    /// A combinatorial tenant pulled a super-arm (sorted, deduplicated).
-    Strategy(Vec<ArmId>),
 }
 
 /// A latency quantile summary read off the engine's fixed-bucket histograms.
@@ -356,6 +328,22 @@ impl WireResponse {
         write_response(out, self);
     }
 
+    /// Appends a `decisions` document for `tenant` to `out`, straight from
+    /// the engine's replies: the same bytes as [`WireResponse::write_json`]
+    /// of a [`WireResponse::Decisions`] holding them, without collecting
+    /// them into one.
+    pub fn write_decisions<'a>(
+        out: &mut String,
+        tenant: &str,
+        replies: impl IntoIterator<Item = &'a DecideReply>,
+    ) {
+        out.push_str(r#"{"type":"decisions","tenant":"#);
+        write_string(tenant, out);
+        out.push_str(r#","replies":"#);
+        write_array(out, replies, write_reply);
+        out.push('}');
+    }
+
     /// Decodes a response from JSON text (strict: unknown fields are errors).
     pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
         let mut reader = Reader::new(text);
@@ -403,9 +391,9 @@ fn read_observations(
 
 /// Appends one feedback event body (shared with the WAL's `feedback`
 /// records and the snapshots' pending queues).
-pub(crate) fn write_event(out: &mut String, event: &WireEvent) {
+pub(crate) fn write_event(out: &mut String, event: &FeedbackEvent) {
     match event {
-        WireEvent::Single(f) => {
+        FeedbackEvent::Single(f) => {
             out.push_str(r#"{"type":"single","arm":"#);
             write_u64(out, f.arm as u64);
             out.push_str(r#","direct_reward":"#);
@@ -415,7 +403,7 @@ pub(crate) fn write_event(out: &mut String, event: &WireEvent) {
             out.push_str(r#","observations":"#);
             write_observations(out, &f.observations);
         }
-        WireEvent::Combinatorial(f) => {
+        FeedbackEvent::Combinatorial(f) => {
             out.push_str(r#"{"type":"combinatorial","strategy":"#);
             write_arms(out, &f.strategy);
             out.push_str(r#","observation_set":"#);
@@ -432,7 +420,7 @@ pub(crate) fn write_event(out: &mut String, event: &WireEvent) {
 }
 
 /// Decodes one feedback event body (strict).
-pub(crate) fn read_event(r: &mut Reader<'_>) -> Result<WireEvent, SpecError> {
+pub(crate) fn read_event(r: &mut Reader<'_>) -> Result<FeedbackEvent, SpecError> {
     const CTX: &str = "wire feedback event";
     let (mut arm, mut strategy, mut observation_set) = (None, None, None);
     let (mut direct_reward, mut side_reward, mut observations) = (None, None, None);
@@ -452,14 +440,14 @@ pub(crate) fn read_event(r: &mut Reader<'_>) -> Result<WireEvent, SpecError> {
         _ => Ok(false),
     })?;
     Ok(if single {
-        WireEvent::Single(SinglePlayFeedback {
+        FeedbackEvent::Single(SinglePlayFeedback {
             arm: required(arm, CTX, "arm")?,
             direct_reward: required(direct_reward, CTX, "direct_reward")?,
             side_reward: required(side_reward, CTX, "side_reward")?,
             observations: required(observations, CTX, "observations")?,
         })
     } else {
-        WireEvent::Combinatorial(CombinatorialFeedback {
+        FeedbackEvent::Combinatorial(CombinatorialFeedback {
             strategy: required(strategy, CTX, "strategy")?,
             observation_set: required(observation_set, CTX, "observation_set")?,
             direct_reward: required(direct_reward, CTX, "direct_reward")?,
@@ -471,7 +459,7 @@ pub(crate) fn read_event(r: &mut Reader<'_>) -> Result<WireEvent, SpecError> {
 
 /// Appends a `{"round":…,"event":…}` entry, the element of a feedback window
 /// and of a snapshot's pending queue.
-pub(crate) fn write_round_event(out: &mut String, round: u64, event: &WireEvent) {
+pub(crate) fn write_round_event(out: &mut String, round: u64, event: &FeedbackEvent) {
     out.push_str(r#"{"round":"#);
     write_u64(out, round);
     out.push_str(r#","event":"#);
@@ -483,7 +471,7 @@ pub(crate) fn write_round_event(out: &mut String, round: u64, event: &WireEvent)
 pub(crate) fn read_round_event(
     r: &mut Reader<'_>,
     ctx: &'static str,
-) -> Result<(u64, WireEvent), SpecError> {
+) -> Result<(u64, FeedbackEvent), SpecError> {
     let (mut round, mut event) = (None, None);
     r.object(ctx, |r, key| match key {
         "round" => r.field(key, &mut round, |r| r.u64(ctx)),
@@ -631,13 +619,13 @@ fn read_latency(r: &mut Reader<'_>) -> Result<WireLatency, SpecError> {
     })
 }
 
-fn write_decision(out: &mut String, decision: &WireDecision) {
+fn write_decision(out: &mut String, decision: &Decision) {
     match decision {
-        WireDecision::Arm(arm) => {
+        Decision::Arm(arm) => {
             out.push_str(r#"{"type":"arm","arm":"#);
             write_u64(out, *arm as u64);
         }
-        WireDecision::Strategy(arms) => {
+        Decision::Strategy(arms) => {
             out.push_str(r#"{"type":"strategy","arms":"#);
             write_arms(out, arms);
         }
@@ -645,7 +633,7 @@ fn write_decision(out: &mut String, decision: &WireDecision) {
     out.push('}');
 }
 
-fn read_decision(r: &mut Reader<'_>) -> Result<WireDecision, SpecError> {
+fn read_decision(r: &mut Reader<'_>) -> Result<Decision, SpecError> {
     const CTX: &str = "wire decision";
     let tag = r.tag(CTX)?;
     let (mut arm, mut arms) = (None, None);
@@ -655,20 +643,20 @@ fn read_decision(r: &mut Reader<'_>) -> Result<WireDecision, SpecError> {
                 "arm" => r.field(key, &mut arm, |r| r.usize(CTX)),
                 _ => Ok(false),
             })?;
-            Ok(WireDecision::Arm(required(arm, CTX, "arm")?))
+            Ok(Decision::Arm(required(arm, CTX, "arm")?))
         }
         "strategy" => {
             r.tagged_object(CTX, |r, key| match key {
                 "arms" => r.field(key, &mut arms, |r| read_arms(r, CTX)),
                 _ => Ok(false),
             })?;
-            Ok(WireDecision::Strategy(required(arms, CTX, "arms")?))
+            Ok(Decision::Strategy(required(arms, CTX, "arms")?))
         }
         other => Err(unknown_variant(CTX, other)),
     }
 }
 
-fn write_reply(out: &mut String, reply: &WireReply) {
+fn write_reply(out: &mut String, reply: &DecideReply) {
     out.push_str(r#"{"round":"#);
     write_u64(out, reply.round);
     out.push_str(r#","decision":"#);
@@ -683,7 +671,7 @@ fn write_reply(out: &mut String, reply: &WireReply) {
     out.push('}');
 }
 
-fn read_reply(r: &mut Reader<'_>) -> Result<WireReply, SpecError> {
+fn read_reply(r: &mut Reader<'_>) -> Result<DecideReply, SpecError> {
     const CTX: &str = "wire decide reply";
     let (mut round, mut decision, mut reward, mut feedback) = (None, None, None, None);
     r.object(CTX, |r, key| match key {
@@ -694,7 +682,7 @@ fn read_reply(r: &mut Reader<'_>) -> Result<WireReply, SpecError> {
         "feedback" => r.field(key, &mut feedback, |r| r.nullable(read_event)),
         _ => Ok(false),
     })?;
-    Ok(WireReply {
+    Ok(DecideReply {
         round: required(round, CTX, "round")?,
         decision: required(decision, CTX, "decision")?,
         reward: required(reward, CTX, "reward")?,
@@ -705,10 +693,7 @@ fn read_reply(r: &mut Reader<'_>) -> Result<WireReply, SpecError> {
 fn write_response(out: &mut String, response: &WireResponse) {
     match response {
         WireResponse::Decisions { tenant, replies } => {
-            out.push_str(r#"{"type":"decisions","tenant":"#);
-            write_string(tenant, out);
-            out.push_str(r#","replies":"#);
-            write_array(out, replies, write_reply);
+            return WireResponse::write_decisions(out, tenant, replies);
         }
         WireResponse::Ok => out.push_str(r#"{"type":"ok""#),
         WireResponse::Accepted { count } => {
@@ -925,8 +910,8 @@ mod tests {
         }
     }
 
-    fn single_event() -> WireEvent {
-        WireEvent::Single(SinglePlayFeedback {
+    fn single_event() -> FeedbackEvent {
+        FeedbackEvent::Single(SinglePlayFeedback {
             arm: 3,
             direct_reward: 1.0,
             side_reward: 0.25 + 0.5,
@@ -934,8 +919,8 @@ mod tests {
         })
     }
 
-    fn combinatorial_event() -> WireEvent {
-        WireEvent::Combinatorial(CombinatorialFeedback {
+    fn combinatorial_event() -> FeedbackEvent {
+        FeedbackEvent::Combinatorial(CombinatorialFeedback {
             strategy: vec![0, 2],
             observation_set: vec![0, 1, 2, 5],
             direct_reward: 2.0,
@@ -989,15 +974,15 @@ mod tests {
             WireResponse::Decisions {
                 tenant: "exp-0".into(),
                 replies: vec![
-                    WireReply {
+                    DecideReply {
                         round: 1,
-                        decision: WireDecision::Arm(4),
+                        decision: Decision::Arm(4),
                         reward: 0.1 + 0.2, // not representable exactly; must survive bit-for-bit
                         feedback: Some(single_event()),
                     },
-                    WireReply {
+                    DecideReply {
                         round: 2,
-                        decision: WireDecision::Strategy(vec![0, 3]),
+                        decision: Decision::Strategy(vec![0, 3]),
                         reward: 2.0,
                         feedback: None,
                     },
@@ -1068,9 +1053,9 @@ mod tests {
         let reward = 0.30000000000000004; // 0.1 + 0.2
         let response = WireResponse::Decisions {
             tenant: "t".into(),
-            replies: vec![WireReply {
+            replies: vec![DecideReply {
                 round: 1,
-                decision: WireDecision::Arm(0),
+                decision: Decision::Arm(0),
                 reward,
                 feedback: None,
             }],
@@ -1117,7 +1102,7 @@ mod tests {
     #[test]
     fn accepts_every_spelling_the_contract_allows() {
         let single = |arm, x| {
-            WireEvent::Single(SinglePlayFeedback {
+            FeedbackEvent::Single(SinglePlayFeedback {
                 arm,
                 direct_reward: x,
                 side_reward: x,
@@ -1179,9 +1164,9 @@ mod tests {
         };
         let expected = WireResponse::Decisions {
             tenant: "t".into(),
-            replies: vec![WireReply {
+            replies: vec![DecideReply {
                 round: 1,
-                decision: WireDecision::Arm(0),
+                decision: Decision::Arm(0),
                 reward: -0.0,
                 feedback: None,
             }],

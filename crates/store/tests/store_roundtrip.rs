@@ -9,8 +9,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use netband_spec::{
-    ArmsSpec, FeedbackSpec, GraphSpec, PolicySpec, ScenarioSpec, SideBonus, StoredTenantMetrics,
-    StoredTenantSnapshot, WalRecord, WorkloadSpec, SPEC_VERSION, STORE_VERSION,
+    ArmsSpec, FeedbackSpec, GraphSpec, PolicySpec, ScenarioSpec, SideBonus, StoredTenantSnapshot,
+    WalRecord, WorkloadSpec, SPEC_VERSION, STORE_VERSION,
 };
 use netband_store::{ShardStore, StoreConfig, StoreError};
 
@@ -84,7 +84,7 @@ fn tenant_snapshot(id: &str, round: u64) -> StoredTenantSnapshot {
         realised: vec![0.125; round as usize],
         pseudo: vec![0.25; round as usize],
         pending: Vec::new(),
-        metrics: StoredTenantMetrics::default(),
+        metrics: Default::default(),
     }
 }
 

@@ -19,7 +19,6 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_golden, golden_specs, test_shards};
-use netband::net::proto::{decision_to_wire, event_from_wire, event_to_wire};
 use netband::prelude::*;
 
 /// An engine fronted by a loopback server, plus one connected client. The
@@ -34,8 +33,8 @@ fn loopback(engine: ServeEngine, config: ServerConfig) -> (NetServer, NetClient)
     (server, client)
 }
 
-fn placeholder_event() -> WireEvent {
-    WireEvent::Single(SinglePlayFeedback {
+fn placeholder_event() -> FeedbackEvent {
+    FeedbackEvent::Single(SinglePlayFeedback {
         arm: 0,
         direct_reward: 0.0,
         side_reward: 0.0,
@@ -73,8 +72,7 @@ fn tcp_round_trip_reproduces_all_four_golden_traces() {
 
             assert_eq!(reply.round, expected.round, "{fixture} round {round}");
             assert_eq!(
-                reply.decision,
-                decision_to_wire(&expected.decision),
+                reply.decision, expected.decision,
                 "{fixture} round {round}: decision diverged over the wire"
             );
             assert_eq!(
@@ -85,15 +83,14 @@ fn tcp_round_trip_reproduces_all_four_golden_traces() {
             let event = reply.feedback.expect("wire reply echoes feedback");
             let expected_event = expected.feedback.expect("reference echoes feedback");
             assert_eq!(
-                event,
-                event_to_wire(&expected_event),
+                event, expected_event,
                 "{fixture} round {round}: echoed feedback diverged"
             );
 
             // Close the loop on both sides with the *wire* event, so the
             // feedback path is exercised end to end too.
             reference
-                .feedback(fixture, expected.round, event_from_wire(event.clone()))
+                .feedback(fixture, expected.round, event.clone())
                 .expect("reference feedback");
             let accepted = client
                 .feedback_many(
@@ -173,10 +170,10 @@ fn chunked_wire_batches_match_the_in_process_batched_client() {
         for (reply, expected) in replies.into_iter().zip(&out) {
             let expected = expected.as_ref().expect("reference decision");
             assert_eq!(reply.round, expected.round);
-            assert_eq!(reply.decision, decision_to_wire(&expected.decision));
+            assert_eq!(reply.decision, expected.decision);
             assert_eq!(reply.reward.to_bits(), expected.reward.to_bits());
             let event = reply.feedback.expect("echoed feedback");
-            ref_window.push((reply.round, event_from_wire(event.clone())));
+            ref_window.push((reply.round, event.clone()));
             wire_window.push(WireFeedback {
                 round: reply.round,
                 event,
@@ -430,8 +427,8 @@ fn overloaded_shards_answer_with_a_retryable_error_frame() {
 
 // ----- wire documents carry env payloads losslessly ------------------------
 
-/// Feedback events survive the wire document round trip bit for bit in both
-/// directions (serve → wire → JSON → wire → serve).
+/// Feedback events survive the wire document round trip bit for bit
+/// (serve → JSON → serve).
 #[test]
 fn feedback_events_round_trip_bit_exactly_through_the_wire_documents() {
     let events = vec![
@@ -450,12 +447,11 @@ fn feedback_events_round_trip_bit_exactly_through_the_wire_documents() {
         }),
     ];
     for event in events {
-        let wire = event_to_wire(&event);
         let text = WireRequest::FeedbackMany {
             tenant: "t".into(),
             events: vec![WireFeedback {
                 round: 0,
-                event: wire.clone(),
+                event: event.clone(),
             }],
         }
         .to_json_text();
@@ -463,9 +459,8 @@ fn feedback_events_round_trip_bit_exactly_through_the_wire_documents() {
             WireRequest::FeedbackMany { mut events, .. } => events.pop().unwrap().event,
             other => panic!("wrong request kind: {other:?}"),
         };
-        assert_eq!(back, wire, "JSON round trip changed the event");
-        // And back into a serve event without loss.
-        match (event_from_wire(back), event) {
+        assert_eq!(back, event, "JSON round trip changed the event");
+        match (back, event) {
             (FeedbackEvent::Single(a), FeedbackEvent::Single(b)) => {
                 assert_eq!(a.direct_reward.to_bits(), b.direct_reward.to_bits());
                 assert_eq!(a.side_reward.to_bits(), b.side_reward.to_bits());

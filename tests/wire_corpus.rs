@@ -7,8 +7,8 @@
 //!
 //! * decode → encode reproduces every committed document byte for byte;
 //! * encoding the same values today still produces the committed bytes;
-//! * no byte sequence — arbitrary, or a mutated corpus document — makes
-//!   either decoder panic.
+//! * no byte sequence — arbitrary, or a mutated corpus or WAL document —
+//!   makes a wire, store or scenario decoder panic.
 //!
 //! The `decisions` / `feedback_many` windows come from the four DFL presets
 //! at the sizes of `examples/fleet.json`, served by an in-process engine, so
@@ -19,10 +19,11 @@ use std::fs;
 use std::path::PathBuf;
 
 use netband::core::PolicyState;
-use netband::net::proto::{event_from_wire, reply_to_wire, telemetry_to_wire};
+use netband::env::TenantMetrics;
+use netband::net::proto::telemetry_to_wire;
 use netband::prelude::*;
 use netband::spec::presets;
-use netband::spec::{StoredTenantMetrics, StoredTenantSnapshot, WalRecord, STORE_VERSION};
+use netband::spec::{ShardSnapshot, StoredTenantSnapshot, WalRecord, STORE_VERSION};
 use netband::spec::{WireArmStat, WireTelemetry};
 use proptest::prelude::*;
 
@@ -38,6 +39,14 @@ fn committed(name: &str) -> Vec<String> {
     let text = fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("read corpus file {}: {e}", path.display()));
     text.lines().map(str::to_owned).collect()
+}
+
+/// The committed drifting scenario, the deepest spec document.
+fn drift_scenario() -> String {
+    fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/drift_scenario.json"),
+    )
+    .expect("read drift scenario")
 }
 
 /// The four DFL presets at the sizes of `examples/fleet.json`.
@@ -88,10 +97,8 @@ fn corpus() -> (Vec<WireRequest>, Vec<WireResponse>) {
             client
                 .decide_many(&id, count as usize, &mut out)
                 .expect("decide_many");
-            let replies: Vec<WireReply> = out
-                .iter()
-                .map(|r| reply_to_wire(r.as_ref().expect("decide")))
-                .collect();
+            let replies: Vec<DecideReply> =
+                out.iter().map(|r| r.clone().expect("decide")).collect();
             // Deliver the window newest-first: the wire allows any order.
             let events: Vec<WireFeedback> = replies
                 .iter()
@@ -110,12 +117,7 @@ fn corpus() -> (Vec<WireRequest>, Vec<WireResponse>) {
                 events: events.clone(),
             });
             let accepted = client
-                .feedback_many(
-                    &id,
-                    events
-                        .into_iter()
-                        .map(|f| (f.round, event_from_wire(f.event))),
-                )
+                .feedback_many(&id, events.into_iter().map(|f| (f.round, f.event)))
                 .expect("feedback_many");
             responses.push(WireResponse::Accepted {
                 count: accepted as u64,
@@ -128,13 +130,11 @@ fn corpus() -> (Vec<WireRequest>, Vec<WireResponse>) {
     }
 
     // A drifting scenario embeds the deepest spec document.
-    let drift = fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/drift_scenario.json"),
-    )
-    .expect("read drift scenario");
     requests.push(WireRequest::RegisterTenant {
         id: "drift".into(),
-        scenario: Box::new(ScenarioSpec::from_json_text(&drift).expect("drift scenario")),
+        scenario: Box::new(
+            ScenarioSpec::from_json_text(&drift_scenario()).expect("drift scenario"),
+        ),
     });
     requests.push(WireRequest::Metrics);
 
@@ -154,7 +154,7 @@ fn corpus() -> (Vec<WireRequest>, Vec<WireResponse>) {
         events: vec![
             WireFeedback {
                 round: u64::MAX,
-                event: WireEvent::Single(SinglePlayFeedback {
+                event: FeedbackEvent::Single(SinglePlayFeedback {
                     arm: 0,
                     direct_reward: -0.0,
                     side_reward: f64::MIN_POSITIVE,
@@ -163,7 +163,7 @@ fn corpus() -> (Vec<WireRequest>, Vec<WireResponse>) {
             },
             WireFeedback {
                 round: 1,
-                event: WireEvent::Combinatorial(CombinatorialFeedback {
+                event: FeedbackEvent::Combinatorial(CombinatorialFeedback {
                     strategy: Vec::new(),
                     observation_set: Vec::new(),
                     direct_reward: f64::MAX,
@@ -179,15 +179,15 @@ fn corpus() -> (Vec<WireRequest>, Vec<WireResponse>) {
     responses.push(WireResponse::Decisions {
         tenant: awkward.into(),
         replies: vec![
-            WireReply {
+            DecideReply {
                 round: u64::MAX,
-                decision: WireDecision::Arm(usize::MAX),
+                decision: Decision::Arm(usize::MAX),
                 reward: -0.0,
                 feedback: None,
             },
-            WireReply {
+            DecideReply {
                 round: 2,
-                decision: WireDecision::Strategy(Vec::new()),
+                decision: Decision::Strategy(Vec::new()),
                 reward: 1e21,
                 feedback: None,
             },
@@ -311,7 +311,7 @@ fn wal_corpus(requests: &[WireRequest]) -> Vec<WalRecord> {
             WireRequest::Metrics => records.push(WalRecord::Drain),
         }
     }
-    let pending: Vec<(u64, WireEvent)> = requests
+    let pending: Vec<(u64, FeedbackEvent)> = requests
         .iter()
         .filter_map(|r| match r {
             WireRequest::FeedbackMany { events, .. } => events.first(),
@@ -344,7 +344,7 @@ fn wal_corpus(requests: &[WireRequest]) -> Vec<WalRecord> {
                 realised: vec![0.5, -0.25, 0.0, 1.0 / 3.0],
                 pseudo: vec![0.5, 0.5, 0.0, 1e-300],
                 pending: pending.clone(),
-                metrics: StoredTenantMetrics {
+                metrics: TenantMetrics {
                     decides: 4,
                     feedback_events: 2,
                     batches_flushed: 1,
@@ -402,17 +402,45 @@ fn wal_records_reencode_byte_for_byte() {
 
 // ----- hostile input ---------------------------------------------------------
 
-/// Feeds `text` to both decoders. Neither may panic; whatever decodes must
+/// Feeds `text` to `decode`. It may not panic; whatever decodes must
 /// re-encode to a document that decodes to the same value.
-fn decode_both(text: &str) {
-    if let Ok(request) = WireRequest::from_json_text(text) {
-        let again = WireRequest::from_json_text(&request.to_json_text()).expect("re-decode");
-        assert_eq!(again, request, "{text}");
+fn decode_one<T: PartialEq + std::fmt::Debug, E>(
+    text: &str,
+    decode: fn(&str) -> Result<T, E>,
+    encode: fn(&T) -> String,
+) {
+    if let Ok(value) = decode(text) {
+        let again = decode(&encode(&value)).unwrap_or_else(|_| panic!("re-decode {text}"));
+        assert_eq!(again, value, "{text}");
     }
-    if let Ok(response) = WireResponse::from_json_text(text) {
-        let again = WireResponse::from_json_text(&response.to_json_text()).expect("re-decode");
-        assert_eq!(again, response, "{text}");
-    }
+}
+
+/// Feeds `text` to every decoder of a document that crosses a socket or
+/// sits on disk: the two wire documents, the three store documents and the
+/// scenario spec.
+fn decode_all(text: &str) {
+    decode_one(text, WireRequest::from_json_text, WireRequest::to_json_text);
+    decode_one(
+        text,
+        WireResponse::from_json_text,
+        WireResponse::to_json_text,
+    );
+    decode_one(text, WalRecord::from_json_text, WalRecord::to_json_text);
+    decode_one(
+        text,
+        StoredTenantSnapshot::from_json_text,
+        StoredTenantSnapshot::to_json_text,
+    );
+    decode_one(
+        text,
+        ShardSnapshot::from_json_text,
+        ShardSnapshot::to_json_text,
+    );
+    decode_one(
+        text,
+        ScenarioSpec::from_json_text,
+        ScenarioSpec::to_json_text,
+    );
 }
 
 /// Fragments spliced into corpus documents: structural tokens, lexemes on
@@ -487,12 +515,12 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic_a_decoder(bytes in collection::vec(0u32..256, 0..96)) {
         let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
-        decode_both(&String::from_utf8_lossy(&bytes));
+        decode_all(&String::from_utf8_lossy(&bytes));
     }
 
     #[test]
     fn json_shaped_noise_never_panics_a_decoder(codes in collection::vec(0usize..64, 0..96)) {
-        decode_both(&json_alphabet(codes));
+        decode_all(&json_alphabet(codes));
     }
 
     #[test]
@@ -505,6 +533,8 @@ proptest! {
         let docs: Vec<String> = committed("requests.jsonl")
             .into_iter()
             .chain(committed("responses.jsonl"))
+            .chain(committed("wal.jsonl"))
+            .chain([drift_scenario()])
             .collect();
         let splices = splices();
         let doc = &docs[pick.0 % docs.len()];
@@ -514,6 +544,6 @@ proptest! {
             let at = (at * 7 + 13) % (mutated.len() + 1);
             mutated = splice(&mutated, at, cut / 2, &splices[(insert + 5) % splices.len()]);
         }
-        decode_both(&mutated);
+        decode_all(&mutated);
     }
 }
