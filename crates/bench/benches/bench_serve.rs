@@ -3,36 +3,35 @@
 //!
 //! Unlike the figure benches this is a hand-rolled harness (`harness = false`
 //! with a custom `main`): the quantity of interest is sustained multi-client
-//! throughput through the shard command channels, which needs concurrent
-//! client threads and wall-clock measurement rather than Criterion's
-//! single-threaded sampling.
+//! throughput through the shard locks, which needs concurrent client threads
+//! and wall-clock measurement rather than Criterion's single-threaded
+//! sampling.
 //!
 //! Every run sweeps the shard counts {1, 4, 16} against feedback batch sizes
 //! {1, 32, 1024} over 64 single-play tenants driven by 16 client threads with
 //! delayed, out-of-order feedback — through the per-call
 //! `ServeEngine::decide`/`feedback` API, the batched
-//! `ServeClient::decide_many`/`feedback_many` API (one channel round-trip per
-//! window), and the mixed fan-out `ServeClient::decide_many_mixed` (each
-//! client batches all its tenants into one request that fans across every
-//! target shard concurrently) — prints a table, and writes the results to
+//! `ServeClient::decide_many`/`feedback_many` API (one shard lock per
+//! window), and the mixed `ServeClient::decide_many_mixed` (each client
+//! batches all its tenants into one request, served one shard after another
+//! on the client's thread) — prints a table, and writes the results to
 //! `BENCH_serve.json` at the workspace root — the checked-in serving perf
-//! trajectory (per-shard scaling curves per API, plus the recorded
-//! `available_parallelism` to judge them against).
+//! trajectory (per-shard scaling curves per API, plus the machine
+//! fingerprint to judge them against).
 //!
 //! Set `NETBAND_BENCH_FAST=1` for a smoke run (CI) that skips the JSON write
 //! and **fails** if any cell's throughput drops below [`FLOOR_DECIDES_PER_SEC`]
 //! — a conservative floor that catches pathological hot-path regressions
 //! without judging machine-dependent shard scaling — or if the batched API at
-//! window size 1 falls below [`BATCH_1_PARITY`] of the per-call API (the
-//! batch-1 degradation gate: the batched client must route 1-element windows
-//! through the per-call commands instead of paying the buffer round-trip).
+//! window size 1 falls below [`BATCH_1_PARITY`] of the per-call API (a
+//! 1-element batch must cost about what one per-call decide costs).
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use netband_bench::{machine_fingerprint_json, workspace_root};
 use netband_core::DflSso;
 use netband_env::{ArmSet, NetworkedBandit};
 use netband_graph::generators;
@@ -51,24 +50,24 @@ const BATCH_SIZES: [usize; 3] = [1, 32, 1024];
 const FLOOR_DECIDES_PER_SEC: f64 = 50_000.0;
 
 /// Smoke-mode floor on `batched / per_call` throughput at window size 1 on
-/// one shard. With the batch-1 fast path the ratio sits near (slightly
-/// above) 1.0; the regression this pins — batch-1 windows paying the full
-/// buffer round-trip — showed up as ~0.85. Kept conservative because smoke
-/// runs are short and the container is small.
+/// one shard. Both APIs take the shard lock once per decide there, so the
+/// ratio sits near 1.0; a batch path that pays per-batch setup a single
+/// decide does not would show up below it. Kept conservative because smoke
+/// runs are short and the machine may be small.
 const BATCH_1_PARITY: f64 = 0.6;
 
 /// Which client API a cell drives the engine through.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Api {
-    /// `ServeEngine::decide` / `feedback`: one command + fresh reply channel
-    /// per decision.
+    /// `ServeEngine::decide` / `feedback`: one shard lock per decision and
+    /// per feedback event.
     PerCall,
-    /// `ServeClient::decide_many` / `feedback_many`: one command round-trip
-    /// per window, pooled reply channels, recycled buffers.
+    /// `ServeClient::decide_many` / `feedback_many`: one shard lock per
+    /// window, reply slots refilled in place.
     Batched,
     /// `ServeClient::decide_many_mixed`: each client thread serves **all** its
-    /// tenants per window through one mixed batch fanned out to every target
-    /// shard before any reply is collected.
+    /// tenants per window through one mixed batch, one shard lock per
+    /// addressed shard.
     Mixed,
 }
 
@@ -130,8 +129,8 @@ fn drive_per_call(engine: &ServeEngine, id: &str, rounds: usize, batch: usize) {
     }
 }
 
-/// The same session through the batched API: one `decide_many` round-trip per
-/// window, then one `feedback_many` command with the window reversed.
+/// The same session through the batched API: one `decide_many` per window,
+/// then one `feedback_many` with the window reversed.
 fn drive_batched(
     client: &mut netband_serve::ServeClient<'_>,
     id: &str,
@@ -154,9 +153,8 @@ fn drive_batched(
     }
 }
 
-/// One client thread's whole tenant set through the mixed fan-out API: every
-/// window is a single `decide_many_mixed` across all the thread's tenants
-/// (partitioned over the shards and served concurrently), then one
+/// One client thread's whole tenant set through the mixed API: every window
+/// is a single `decide_many_mixed` across all the thread's tenants, then one
 /// `feedback_many` per tenant with its window reversed.
 fn drive_mixed(
     client: &mut netband_serve::ServeClient<'_>,
@@ -187,7 +185,7 @@ fn drive_mixed(
     }
 }
 
-/// One sweep cell: an engine with `shards` workers serving `TENANTS` tenants,
+/// One sweep cell: an engine with `shards` shards serving `TENANTS` tenants,
 /// `CLIENTS` client threads looping decide → (windowed, reversed) feedback
 /// through the cell's API.
 fn run_cell(api: Api, shards: usize, batch: usize, rounds: usize) -> Cell {
@@ -242,13 +240,6 @@ fn run_cell(api: Api, shards: usize, batch: usize, rounds: usize) -> Cell {
     }
 }
 
-fn workspace_root() -> PathBuf {
-    // crates/bench → workspace root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-}
-
 fn write_json(cells: &[Cell], rounds: usize) {
     let rows: Vec<String> = cells
         .iter()
@@ -265,17 +256,14 @@ fn write_json(cells: &[Cell], rounds: usize) {
             )
         })
         .collect();
-    // Shard scaling is machine-dependent (a 1-core container cannot run
-    // shards in parallel at all); record the available parallelism so the
-    // checked-in trajectory stays interpretable across machines.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    // Shard scaling is machine-dependent (a 1-core machine cannot run shards
+    // in parallel at all); the fingerprint keeps the checked-in trajectory
+    // interpretable across machines.
     let json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"tenants\": {TENANTS},\n  \
+        "{{\n  \"bench\": \"serve_throughput\",\n{}  \"tenants\": {TENANTS},\n  \
          \"clients\": {CLIENTS},\n  \"num_arms\": {NUM_ARMS},\n  \
-         \"rounds_per_tenant\": {rounds},\n  \"available_parallelism\": {cores},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
+         \"rounds_per_tenant\": {rounds},\n  \"results\": [\n{}\n  ]\n}}\n",
+        machine_fingerprint_json(),
         rows.join(",\n")
     );
     let path = workspace_root().join("BENCH_serve.json");
@@ -319,7 +307,7 @@ fn main() {
     // The headline trajectory number: what batching buys on one shard at the
     // middle window size. Printed, not asserted — absolute numbers are
     // machine-dependent; the committed BENCH_serve.json records them together
-    // with available_parallelism.
+    // with the machine fingerprint.
     let pick = |api: Api, shards: usize| {
         cells
             .iter()
@@ -344,7 +332,7 @@ fn main() {
     );
     let mixed = pick(Api::Mixed, 4);
     println!(
-        "mixed fan-out, 4 shards (batch 32): {:.0} decides/sec ({:.2}x vs batched)",
+        "mixed, 4 shards (batch 32): {:.0} decides/sec ({:.2}x vs batched)",
         mixed.decides_per_sec(),
         mixed.decides_per_sec() / four.decides_per_sec()
     );
@@ -364,7 +352,7 @@ fn main() {
             );
         }
         println!("smoke floor ok: every cell >= {FLOOR_DECIDES_PER_SEC:.0} decides/sec");
-        // The batch-1 degradation gate.
+        // The batch-1 parity gate.
         let one = |api: Api| {
             cells
                 .iter()

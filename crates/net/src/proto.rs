@@ -11,7 +11,7 @@ use netband_spec::{WireArmStat, WireErrorCode, WireLatency, WireMetrics, WireTel
 /// Serve error → wire error code + human-readable message.
 ///
 /// [`ServeError::Overloaded`] is the admission-control signal: the request
-/// was not enqueued and the client owns the retry.
+/// was not applied and the client owns the retry.
 pub fn error_to_wire(error: &ServeError) -> (WireErrorCode, String) {
     let code = match error {
         ServeError::UnknownTenant(_) => WireErrorCode::UnknownTenant,

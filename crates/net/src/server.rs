@@ -10,13 +10,13 @@
 //! ## Overload semantics
 //!
 //! The handler uses the client's *non-blocking* admission paths
-//! (`try_decide_many` / `try_feedback_many`). When the tenant's shard queue
-//! is full the engine returns [`ServeError::Overloaded`] without enqueueing
-//! anything, and the connection answers with an
-//! [`WireErrorCode::Overloaded`] error frame instead of parking the thread on
-//! a full queue. A slow engine therefore degrades into explicit, bounded
-//! rejections the remote client can retry — not into an unbounded pile of
-//! blocked connections. Because each connection handles one frame at a time,
+//! (`try_decide_many` / `try_feedback_many`). When the tenant's shard has
+//! already admitted its queue capacity of calls the engine returns
+//! [`ServeError::Overloaded`] without applying anything, and the connection
+//! answers with an [`WireErrorCode::Overloaded`] error frame instead of
+//! waiting for the shard lock. A slow engine therefore degrades into
+//! explicit, bounded rejections the remote client can retry — not into an
+//! unbounded pile of blocked connections. Because each connection handles one frame at a time,
 //! per-connection inflight is structurally bounded at one request.
 
 use std::io::{self, BufReader, BufWriter};

@@ -163,11 +163,13 @@ pub enum ServeError {
     },
     /// A spec-driven registration failed to validate or build its scenario.
     Spec(SpecError),
-    /// The target shard's bounded command queue is full and the caller asked
-    /// not to block (the `try_*` admission-control paths used by the network
-    /// front end). The request was **not** enqueued; retry after backoff.
+    /// The target shard has already admitted its queue capacity of calls and
+    /// the caller asked not to wait (the `try_*` admission-control paths used
+    /// by the network front end). The request was **not** applied; retry
+    /// after backoff.
     Overloaded,
-    /// The engine (or the target shard) has shut down.
+    /// The engine has shut down, or the target shard is down because a call
+    /// panicked while running on it (a store failure is fatal to its shard).
     EngineDown,
     /// The durable store failed: recovery found corrupt files, or a disk
     /// operation failed. Carries the rendered [`netband_store::StoreError`]

@@ -1,43 +1,32 @@
-//! The batched client handle: amortised channel round-trips and recycled
-//! request/reply buffers.
+//! The batched client handle: many decisions or feedback events per shard
+//! call, into reused reply buffers.
 //!
-//! The per-call engine API ([`ServeEngine::decide`](crate::ServeEngine::decide))
-//! pays, for every decision, a fresh reply-channel allocation plus two channel
-//! hops. A [`ServeClient`] removes both costs from the steady state:
+//! A [`ServeClient`] runs its calls on the calling thread, like the per-call
+//! engine API: each call takes the lock of the shard its tenant routes to,
+//! serves the whole batch, and returns. What the client adds is batching:
 //!
-//! * **Per-shard reply pooling** — the client owns one long-lived reply
-//!   channel *per shard*; every batch command carries a clone of its target
-//!   shard's sender (an `Arc` bump, no allocation) instead of a freshly
-//!   constructed `sync_channel`. Because no two shards ever share a reply
-//!   channel, shards completing concurrent batches never contend on the
-//!   client side, and a mixed fan-out collects each shard's batch from its
-//!   own lane.
-//! * **Batched commands** — [`ServeClient::decide_many`] serves `n` decisions
-//!   over a single command/reply round-trip;
-//!   [`ServeClient::decide_many_mixed`] fans a mixed-tenant batch out to
-//!   **all** target shards first and only then collects, so the shards serve
-//!   their partitions concurrently; [`ServeClient::feedback_many`] ingests a
-//!   whole window of feedback with one fire-and-forget command.
-//! * **Recycled buffers** — request buffers (including their tenant-id
-//!   strings) circulate client → shard → client, and the caller's reply
-//!   vector is handed to the shard as the reply buffer, so its warm
+//! * [`ServeClient::decide_many`] serves `n` decisions under one lock
+//!   acquisition, refilling the caller's reply vector **in place** — its warm
 //!   [`DecideReply`] slots (decision vectors, echoed feedback buffers) are
-//!   refilled in place. A steady-state `decide_many` loop that reuses its
-//!   `out` vector allocates nothing on either side of the channel.
-//! * **Batch-1 degradation** — a 1-element `decide_many` (and a 1-event
-//!   `feedback_many`) routes through the lighter per-call commands
-//!   (`Command::Decide` / `Command::Feedback`) over the pooled reply channel:
-//!   at batch size 1 the batch buffer round-trip costs more than it saves,
-//!   so the batched client degrades to (slightly better than) the per-call
-//!   transport instead of underperforming it.
+//!   reused, so a steady-state loop that keeps passing the same `out`
+//!   allocates nothing.
+//! * [`ServeClient::decide_many_mixed`] serves a mixed-tenant batch, taking
+//!   each addressed shard's lock once and serving that shard's share of the
+//!   batch before moving to the next shard.
+//! * [`ServeClient::feedback_many`] ingests a whole window of feedback under
+//!   one lock acquisition.
 //!
-//! Batching changes *transport*, not semantics: a `decide_many(t, n, ..)` is
-//! bit-identical to `n` consecutive `decide(t)` calls, a
-//! `decide_many_mixed` is bit-identical to the per-tenant `decide_many`
-//! calls it replaces, and `feedback_many` applies its events through the
-//! same per-event ingestion (including flush thresholds) as per-call
-//! feedback. `tests/serve_equivalence.rs` pins this with a randomly-chunked
-//! interleaving proptest.
+//! The `try_*` variants are the admission-control path of the network front
+//! end: a shard that already admitted its capacity answers
+//! [`ServeError::Overloaded`] at once instead of making the caller wait.
+//!
+//! Batching changes how often a shard lock is taken, not semantics: a
+//! `decide_many(t, n, ..)` is bit-identical to `n` consecutive `decide(t)`
+//! calls, a `decide_many_mixed` is bit-identical to the per-tenant
+//! `decide_many` calls it replaces, and `feedback_many` applies its events
+//! through the same per-event ingestion (including flush thresholds) as
+//! per-call feedback. `tests/serve_equivalence.rs` pins this with a
+//! randomly-chunked interleaving proptest.
 //!
 //! # Example
 //!
@@ -72,125 +61,62 @@
 //! engine.shutdown();
 //! ```
 
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::time::Duration;
-
 use crate::api::{DecideReply, FeedbackEvent, ServeError};
-use crate::engine::ServeEngine;
-use crate::shard::{Command, DecideBatch, DecideRequest, FeedbackRequest};
+use crate::engine::{Admission, ServeEngine};
 
-/// Upper bound on recycled feedback buffers parked in the client's return
-/// channel; overflow buffers are dropped by the shard instead of blocking it.
-const FEEDBACK_POOL_CAPACITY: usize = 8;
-
-/// How often the reply wait wakes up to check that the target shard is still
-/// alive. Batches complete in microseconds to milliseconds; the poll only
-/// matters if a shard dies mid-batch, so a coarse interval costs nothing.
-const REPLY_POLL: Duration = Duration::from_millis(100);
-
-/// A client handle over a [`ServeEngine`]: the batched, buffer-recycling
-/// counterpart of the engine's per-call methods. Cheap to create (one reply
-/// lane per shard plus two pooled channels); intended usage is one client per
-/// driving thread, living for the whole session. See the
-/// [module docs](self) for the full protocol.
+/// A client handle over a [`ServeEngine`]: the batched counterpart of the
+/// engine's per-call methods. Cheap to create; intended usage is one client
+/// per driving thread. See the [module docs](self).
 pub struct ServeClient<'e> {
     engine: &'e ServeEngine,
-    /// One long-lived batch reply lane **per shard**; a `DecideMany` addressed
-    /// to shard `s` carries a clone of `batch_reply[s].0`, and its batch is
-    /// collected from `batch_reply[s].1`. Dedicated lanes keep concurrently
-    /// completing shards from contending on a shared reply channel and let a
-    /// mixed fan-out collect each shard independently.
-    batch_reply: Vec<(SyncSender<DecideBatch>, Receiver<DecideBatch>)>,
-    /// Pooled reply channel for the batch-1 fast path (`Command::Decide`).
-    single_reply_tx: SyncSender<Result<DecideReply, ServeError>>,
-    single_reply_rx: Receiver<Result<DecideReply, ServeError>>,
-    /// Return path for drained feedback request buffers.
-    recycle_tx: SyncSender<Vec<FeedbackRequest>>,
-    recycle_rx: Receiver<Vec<FeedbackRequest>>,
-    /// Recycled decide request buffers (tenant-id strings stay warm).
-    request_pool: Vec<Vec<DecideRequest>>,
-    /// Recycled feedback request buffers reclaimed from `recycle_rx`.
-    feedback_pool: Vec<Vec<FeedbackRequest>>,
-    /// Reply buffer backing [`ServeClient::decide`].
-    single_scratch: Vec<Result<DecideReply, ServeError>>,
-    /// Per-shard request assembly buffers for the mixed fan-out (entry strings
-    /// stay warm across calls).
-    shard_requests: Vec<Vec<DecideRequest>>,
-    /// Per-shard reply buffers for the mixed fan-out (warm `DecideReply`
-    /// slots circulate between these and the caller's `out` via swaps).
-    shard_replies: Vec<Vec<Result<DecideReply, ServeError>>>,
-    /// Per-shard entry/slot cursors, reused by partition and reassembly.
-    shard_cursors: Vec<usize>,
-    /// Shards addressed by the current mixed batch, in first-touch order.
-    touched: Vec<usize>,
-    /// `(shard, count)` per original mixed request, for in-order reassembly.
-    plan: Vec<(usize, usize)>,
+    /// The feedback window being ingested. Events are collected here before
+    /// the shard lock is taken, so the caller's iterator never runs under it.
+    window: Vec<(u64, FeedbackEvent)>,
 }
 
 impl<'e> ServeClient<'e> {
     pub(crate) fn new(engine: &'e ServeEngine) -> Self {
-        let shards = engine.num_shards().max(1);
-        // Capacity 1 per lane: a client keeps at most one batch in flight per
-        // shard, so the shard's reply send never blocks.
-        let batch_reply = (0..shards).map(|_| sync_channel(1)).collect();
-        let (single_reply_tx, single_reply_rx) = sync_channel(1);
-        let (recycle_tx, recycle_rx) = sync_channel(FEEDBACK_POOL_CAPACITY);
         ServeClient {
             engine,
-            batch_reply,
-            single_reply_tx,
-            single_reply_rx,
-            recycle_tx,
-            recycle_rx,
-            request_pool: Vec::new(),
-            feedback_pool: Vec::new(),
-            single_scratch: Vec::new(),
-            shard_requests: (0..shards).map(|_| Vec::new()).collect(),
-            shard_replies: (0..shards).map(|_| Vec::new()).collect(),
-            shard_cursors: vec![0; shards],
-            touched: Vec::new(),
-            plan: Vec::new(),
+            window: Vec::new(),
         }
     }
 
-    /// Serves `n` consecutive decisions for `tenant` over one channel
-    /// round-trip, writing the results into `out` in round order.
+    /// Serves `n` consecutive decisions for `tenant` under one shard lock,
+    /// writing the results into `out` in round order.
     ///
     /// `out` is cleared of stale *meaning* but not of storage: its existing
-    /// entries are handed to the shard as warm reply slots and refilled in
-    /// place, so a loop that keeps reusing the same vector performs no
-    /// allocation once sizes have stabilised. The produced decisions, rewards,
-    /// regret accounting, and tenant metrics are bit-identical to `n`
-    /// consecutive [`ServeEngine::decide`] calls.
+    /// entries are refilled in place, so a loop that keeps reusing the same
+    /// vector performs no allocation once sizes have stabilised. The
+    /// produced decisions, rewards, regret accounting, and tenant metrics
+    /// are bit-identical to `n` consecutive [`ServeEngine::decide`] calls.
     ///
     /// # Errors
     ///
-    /// [`ServeError::EngineDown`] when the engine (or the tenant's shard) has
-    /// shut down; per-decision failures (e.g.
-    /// [`ServeError::UnknownTenant`]) land in the corresponding `out` entry.
+    /// [`ServeError::EngineDown`] when the engine (or the tenant's shard) is
+    /// down; per-decision failures (e.g. [`ServeError::UnknownTenant`]) land
+    /// in the corresponding `out` entry.
     pub fn decide_many(
         &mut self,
         tenant: &str,
         n: usize,
         out: &mut Vec<Result<DecideReply, ServeError>>,
     ) -> Result<(), ServeError> {
-        self.decide_many_inner(tenant, n, out, true)
+        self.decide_many_inner(tenant, n, out, Admission::Block)
     }
 
     /// Non-blocking admission variant of [`ServeClient::decide_many`]: when
-    /// the tenant's shard queue is full the batch is **not** enqueued and
-    /// [`ServeError::Overloaded`] is returned immediately instead of blocking
-    /// the caller. The request and reply buffers (including `out`'s warm
-    /// slots) are recovered into the client's pools, so a rejected batch
-    /// costs no allocation; `out`'s *contents* are unspecified after an
-    /// error. This is the admission-control path of the network front end —
-    /// an overloaded shard turns into an overload frame on the wire rather
-    /// than an unboundedly blocked connection.
+    /// the tenant's shard has already admitted its queue capacity, nothing is
+    /// served and [`ServeError::Overloaded`] is returned immediately instead
+    /// of waiting; `out`'s *contents* are unspecified after an error. This is
+    /// the admission-control path of the network front end — an overloaded
+    /// shard turns into an overload frame on the wire rather than a blocked
+    /// connection.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when the shard queue is full,
-    /// [`ServeError::EngineDown`] after shutdown; per-decision failures land
+    /// [`ServeError::Overloaded`] when the shard is at capacity,
+    /// [`ServeError::EngineDown`] when it is down; per-decision failures land
     /// in the corresponding `out` entry exactly like
     /// [`ServeClient::decide_many`].
     pub fn try_decide_many(
@@ -199,7 +125,7 @@ impl<'e> ServeClient<'e> {
         n: usize,
         out: &mut Vec<Result<DecideReply, ServeError>>,
     ) -> Result<(), ServeError> {
-        self.decide_many_inner(tenant, n, out, false)
+        self.decide_many_inner(tenant, n, out, Admission::Try)
     }
 
     fn decide_many_inner(
@@ -207,118 +133,37 @@ impl<'e> ServeClient<'e> {
         tenant: &str,
         n: usize,
         out: &mut Vec<Result<DecideReply, ServeError>>,
-        block: bool,
+        admission: Admission,
     ) -> Result<(), ServeError> {
         if n == 0 {
             out.clear();
             return Ok(());
         }
-        if n == 1 {
-            // At batch size 1 the buffer round-trip costs more than it
-            // amortises; degrade to the per-call command over the pooled
-            // single-reply channel.
-            return self.decide_one_into(tenant, out, block);
-        }
-        let mut requests = self.request_pool.pop().unwrap_or_default();
-        write_decide_requests(&mut requests, tenant, n);
-        let replies = std::mem::take(out);
+        // Stale slots beyond `n` are dropped; fresh ones start as errors and
+        // become blank replies as they are served.
+        out.truncate(n);
+        out.resize_with(n, || Err(ServeError::EngineDown));
         let shard = self.engine.shard_of(tenant);
-        let command = Command::DecideMany {
-            tag: shard as u64,
-            requests,
-            replies,
-            reply: self.batch_reply[shard].0.clone(),
-        };
-        if block {
-            self.engine.send_to_shard(shard, command)?;
-        } else if let Err(bounced) = self.engine.try_send_to_shard(shard, command) {
-            let (command, error) = match bounced {
-                TrySendError::Full(c) => (c, ServeError::Overloaded),
-                TrySendError::Disconnected(c) => (c, ServeError::EngineDown),
-            };
-            // Recover the buffers parked in the bounced command.
-            if let Command::DecideMany {
-                requests, replies, ..
-            } = command
-            {
-                self.request_pool.push(requests);
-                *out = replies;
-            }
-            return Err(error);
-        }
-        let batch = self.wait_reply(shard)?;
-        self.request_pool.push(batch.requests);
-        *out = batch.replies;
-        Ok(())
-    }
-
-    /// The batch-1 fast path: one `Command::Decide` over the pooled
-    /// single-reply channel — the per-call transport minus its fresh
-    /// reply-channel allocation. Semantics (results, metrics, WAL traffic)
-    /// are identical to a 1-element `DecideMany`.
-    fn decide_one_into(
-        &mut self,
-        tenant: &str,
-        out: &mut Vec<Result<DecideReply, ServeError>>,
-        block: bool,
-    ) -> Result<(), ServeError> {
-        let shard = self.engine.shard_of(tenant);
-        let command = Command::Decide {
-            tenant: tenant.to_owned(),
-            reply: self.single_reply_tx.clone(),
-        };
-        if block {
-            self.engine.send_to_shard(shard, command)?;
-        } else if let Err(bounced) = self.engine.try_send_to_shard(shard, command) {
-            return Err(match bounced {
-                TrySendError::Full(_) => ServeError::Overloaded,
-                TrySendError::Disconnected(_) => ServeError::EngineDown,
-            });
-        }
-        // Same liveness-polling wait as the batch lanes: the pooled channel
-        // outlives the command, so a dead shard must not hang a plain `recv`.
-        let result = loop {
-            match self.single_reply_rx.recv_timeout(REPLY_POLL) {
-                Ok(result) => break result,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.engine.shard_is_down(shard) {
-                        if let Ok(result) = self.single_reply_rx.try_recv() {
-                            break result;
-                        }
-                        return Err(ServeError::EngineDown);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(ServeError::EngineDown),
-            }
-        };
-        out.clear();
-        out.push(result);
-        Ok(())
+        self.engine
+            .run(shard, admission, |s| s.decide_many(tenant, out))
     }
 
     /// Serves a mixed-tenant batch — `(tenant, count)` pairs in caller order —
-    /// by partitioning it across the owning shards, sending **all** per-shard
-    /// `DecideMany` commands before collecting any reply, and reassembling
-    /// the replies into `out` in the original request order. The target
-    /// shards therefore serve their partitions concurrently instead of
-    /// shard-at-a-time; results are bit-identical to issuing one
+    /// writing the replies into `out` in that order. Each addressed shard's
+    /// lock is taken once, in first-touch order, and that shard serves every
+    /// pair routed to it; results are bit-identical to issuing one
     /// [`ServeClient::decide_many`] per `(tenant, count)` pair in order
-    /// (tenants are shard-pinned, so cross-shard completion order cannot
-    /// affect any tenant's round sequence).
+    /// (tenants are shard-pinned, so the order in which shards are visited
+    /// cannot affect any tenant's round sequence).
     ///
-    /// Buffer discipline matches `decide_many`: per-shard request/reply
-    /// buffers live in the client and recycle across calls, and `out`'s warm
-    /// slots are swapped (not cloned) with the shard buffers, so a
-    /// steady-state mixed loop allocates nothing. Zero-count pairs are
+    /// `out`'s warm slots are refilled in place. Zero-count pairs are
     /// skipped; an empty batch clears `out`.
     ///
     /// # Errors
     ///
-    /// [`ServeError::EngineDown`] when the engine or any addressed shard has
-    /// shut down (outstanding replies from the other shards are still
-    /// collected so the client stays usable); per-decision failures land in
-    /// the corresponding `out` entry. `out`'s contents are unspecified after
-    /// an error.
+    /// [`ServeError::EngineDown`] when the engine or an addressed shard is
+    /// down; per-decision failures land in the corresponding `out` entry.
+    /// `out`'s contents are unspecified after an error.
     pub fn decide_many_mixed<'a, I>(
         &mut self,
         requests: I,
@@ -327,321 +172,104 @@ impl<'e> ServeClient<'e> {
     where
         I: IntoIterator<Item = (&'a str, usize)>,
     {
-        self.plan.clear();
-        self.touched.clear();
-        for cursor in self.shard_cursors.iter_mut() {
-            *cursor = 0;
-        }
-        let mut total = 0usize;
-        for (tenant, n) in requests {
-            if n == 0 {
+        let plan: Vec<(&str, usize, usize)> = requests
+            .into_iter()
+            .filter(|&(_, n)| n > 0)
+            .map(|(tenant, n)| (tenant, n, self.engine.shard_of(tenant)))
+            .collect();
+        let total = plan.iter().map(|&(_, n, _)| n).sum();
+        out.truncate(total);
+        out.resize_with(total, || Err(ServeError::EngineDown));
+        let mut visited = vec![false; self.engine.num_shards()];
+        for &(_, _, shard) in &plan {
+            if std::mem::replace(&mut visited[shard], true) {
                 continue;
             }
-            let shard = self.engine.shard_of(tenant);
-            if self.shard_cursors[shard] == 0 {
-                self.touched.push(shard);
-            }
-            append_decide_requests(
-                &mut self.shard_requests[shard],
-                &mut self.shard_cursors[shard],
-                tenant,
-                n,
-            );
-            self.plan.push((shard, n));
-            total += n;
-        }
-        if total == 0 {
-            out.clear();
-            return Ok(());
-        }
-        out.resize_with(total, || Err(ServeError::EngineDown));
-
-        // Fan-out: every shard's command goes on the wire before any reply is
-        // collected, so the shards work their partitions in parallel.
-        let mut sent = 0usize;
-        let mut failure: Option<ServeError> = None;
-        for &shard in &self.touched {
-            let mut requests = std::mem::take(&mut self.shard_requests[shard]);
-            requests.truncate(self.shard_cursors[shard]);
-            let replies = std::mem::take(&mut self.shard_replies[shard]);
-            let command = Command::DecideMany {
-                tag: shard as u64,
-                requests,
-                replies,
-                reply: self.batch_reply[shard].0.clone(),
-            };
-            if let Err(e) = self.engine.send_to_shard(shard, command) {
-                failure = Some(e);
-                break;
-            }
-            sent += 1;
-        }
-        // Collect every in-flight batch even after a failure, so the
-        // per-shard reply lanes are clean for the next call.
-        for idx in 0..sent {
-            let shard = self.touched[idx];
-            match self.wait_reply(shard) {
-                Ok(batch) => {
-                    self.shard_requests[shard] = batch.requests;
-                    self.shard_replies[shard] = batch.replies;
+            self.engine.run(shard, Admission::Block, |s| {
+                let mut at = 0;
+                for &(tenant, n, owner) in &plan {
+                    if owner == shard {
+                        s.decide_many(tenant, &mut out[at..at + n]);
+                    }
+                    at += n;
                 }
-                Err(e) => {
-                    failure.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
-
-        // Reassemble in original request order. Swapping (rather than moving)
-        // keeps both `out`'s and the shard buffers' slots warm.
-        for cursor in self.shard_cursors.iter_mut() {
-            *cursor = 0;
-        }
-        let mut i = 0usize;
-        for &(shard, n) in &self.plan {
-            let cursor = self.shard_cursors[shard];
-            for slot in 0..n {
-                std::mem::swap(&mut out[i], &mut self.shard_replies[shard][cursor + slot]);
-                i += 1;
-            }
-            self.shard_cursors[shard] = cursor + n;
+            })?;
         }
         Ok(())
     }
 
-    /// Serves one decision through the batched transport (a 1-element
-    /// [`ServeClient::decide_many`] on a client-owned scratch buffer). Same
-    /// results as [`ServeEngine::decide`], minus the per-call reply-channel
-    /// construction.
+    /// Serves one decision; same as [`ServeEngine::decide`].
     pub fn decide(&mut self, tenant: &str) -> Result<DecideReply, ServeError> {
-        let mut out = std::mem::take(&mut self.single_scratch);
-        let sent = self.decide_many(tenant, 1, &mut out);
-        let reply = match sent {
-            Ok(()) => out.pop().expect("one requested decision yields one slot"),
-            Err(e) => Err(e),
-        };
-        self.single_scratch = out;
-        reply
+        self.engine.decide(tenant)
     }
 
-    /// Ingests a window of feedback events for `tenant` with one
-    /// fire-and-forget command, returning how many events were enqueued.
+    /// Ingests a window of feedback events for `tenant` under one shard
+    /// lock, returning how many events were delivered.
     ///
-    /// Events are applied by the shard strictly in the order given, with the
-    /// same per-event semantics (round validation, flush thresholds, rejected
-    /// accounting) as per-call [`ServeEngine::feedback`]. The request buffer
-    /// — including its tenant-id strings — is recycled back to this client
-    /// once the shard has drained it.
+    /// Events are applied strictly in the order given, with the same
+    /// per-event semantics (round validation, flush thresholds, rejected
+    /// accounting) as per-call [`ServeEngine::feedback`]. The window is
+    /// collected before the lock is taken, so `events` may do anything,
+    /// including calling the engine.
     ///
     /// # Errors
     ///
-    /// [`ServeError::EngineDown`] after shutdown. Per-event failures (unknown
-    /// tenant, kind mismatch, invalid round) are counted in
-    /// [`crate::ShardMetrics::rejected`], exactly like per-call feedback.
+    /// [`ServeError::EngineDown`] when the engine (or the tenant's shard) is
+    /// down. Per-event failures (unknown tenant, kind mismatch, invalid
+    /// round) are counted in [`crate::ShardMetrics::rejected`], exactly like
+    /// per-call feedback.
     pub fn feedback_many(
         &mut self,
         tenant: &str,
         events: impl IntoIterator<Item = (u64, FeedbackEvent)>,
     ) -> Result<usize, ServeError> {
-        self.feedback_many_inner(tenant, events, true)
+        self.feedback_many_inner(tenant, events, Admission::Block)
     }
 
     /// Non-blocking admission variant of [`ServeClient::feedback_many`]: a
-    /// full shard queue returns [`ServeError::Overloaded`] immediately (the
-    /// window is **not** enqueued — the events are dropped and the request
-    /// buffer is recovered into the client's pool) instead of blocking.
-    /// Callers that must not lose feedback should retry delivery after
-    /// backoff; the network front end surfaces the rejection as an overload
-    /// frame so the *remote* client owns that retry.
+    /// shard at capacity returns [`ServeError::Overloaded`] immediately and
+    /// the window is dropped, not applied. Callers that must not lose
+    /// feedback should retry delivery after backoff; the network front end
+    /// surfaces the rejection as an overload frame so the *remote* client
+    /// owns that retry.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when the shard queue is full,
-    /// [`ServeError::EngineDown`] after shutdown.
+    /// [`ServeError::Overloaded`] when the shard is at capacity,
+    /// [`ServeError::EngineDown`] when it is down.
     pub fn try_feedback_many(
         &mut self,
         tenant: &str,
         events: impl IntoIterator<Item = (u64, FeedbackEvent)>,
     ) -> Result<usize, ServeError> {
-        self.feedback_many_inner(tenant, events, false)
+        self.feedback_many_inner(tenant, events, Admission::Try)
     }
 
     fn feedback_many_inner(
         &mut self,
         tenant: &str,
         events: impl IntoIterator<Item = (u64, FeedbackEvent)>,
-        block: bool,
+        admission: Admission,
     ) -> Result<usize, ServeError> {
-        self.reclaim_feedback_buffers();
-        let mut buffer = self.feedback_pool.pop().unwrap_or_default();
-        let mut used = 0usize;
-        for (round, event) in events {
-            if used < buffer.len() {
-                let entry = &mut buffer[used];
-                entry.tenant.clear();
-                entry.tenant.push_str(tenant);
-                entry.round = round;
-                entry.event = event;
-            } else {
-                buffer.push(FeedbackRequest {
-                    tenant: tenant.to_owned(),
-                    round,
-                    event,
-                });
-            }
-            used += 1;
-        }
-        buffer.truncate(used);
-        if used == 0 {
-            self.feedback_pool.push(buffer);
-            return Ok(0);
-        }
-        if used == 1 {
-            // Batch-1 fast path: a single fire-and-forget `Command::Feedback`
-            // skips the buffer recycle round-trip entirely.
-            let entry = buffer.pop().expect("one used entry");
-            return self.feedback_one(buffer, entry, block);
-        }
-        let shard = self.engine.shard_of(tenant);
-        let command = Command::FeedbackMany {
-            events: buffer,
-            recycle: self.recycle_tx.clone(),
-        };
-        if block {
-            self.engine.send_to_shard(shard, command)?;
-        } else if let Err(bounced) = self.engine.try_send_to_shard(shard, command) {
-            let (command, error) = match bounced {
-                TrySendError::Full(c) => (c, ServeError::Overloaded),
-                TrySendError::Disconnected(c) => (c, ServeError::EngineDown),
-            };
-            // Recover the request buffer parked in the bounced command.
-            if let Command::FeedbackMany { events, .. } = command {
-                self.feedback_pool.push(events);
-            }
-            return Err(error);
-        }
-        Ok(used)
-    }
-
-    /// Sends one feedback event as a per-call `Command::Feedback` (same
-    /// per-event semantics as a 1-element window, no recycle round-trip).
-    /// `buffer` is the already-emptied pool buffer the event was staged in;
-    /// it returns to the pool on every path, and a bounced event's tenant
-    /// string is recovered into it first.
-    fn feedback_one(
-        &mut self,
-        mut buffer: Vec<FeedbackRequest>,
-        entry: FeedbackRequest,
-        block: bool,
-    ) -> Result<usize, ServeError> {
-        let shard = self.engine.shard_of(&entry.tenant);
-        let command = Command::Feedback {
-            tenant: entry.tenant,
-            round: entry.round,
-            event: entry.event,
-        };
-        if block {
-            let sent = self.engine.send_to_shard(shard, command);
-            self.feedback_pool.push(buffer);
-            sent?;
-        } else if let Err(bounced) = self.engine.try_send_to_shard(shard, command) {
-            let (command, error) = match bounced {
-                TrySendError::Full(c) => (c, ServeError::Overloaded),
-                TrySendError::Disconnected(c) => (c, ServeError::EngineDown),
-            };
-            if let Command::Feedback {
-                tenant,
-                round,
-                event,
-            } = command
-            {
-                buffer.push(FeedbackRequest {
-                    tenant,
-                    round,
-                    event,
-                });
-            }
-            self.feedback_pool.push(buffer);
-            return Err(error);
+        let mut window = std::mem::take(&mut self.window);
+        window.extend(events);
+        let count = window.len();
+        let result = if count == 0 {
+            Ok(count)
         } else {
-            self.feedback_pool.push(buffer);
-        }
-        Ok(1)
-    }
-
-    /// Moves buffers the shards have finished with back into the local pool.
-    fn reclaim_feedback_buffers(&mut self) {
-        while let Ok(buffer) = self.recycle_rx.try_recv() {
-            self.feedback_pool.push(buffer);
-        }
-    }
-
-    /// Waits for the in-flight batch on `shard`'s dedicated reply lane. The
-    /// lane outlives any single command, so a shard that died *without*
-    /// replying would leave a plain `recv` hanging; the wait therefore polls
-    /// shard liveness at a coarse interval and converts a dead shard into
-    /// [`ServeError::EngineDown`] (after draining a reply the shard may have
-    /// managed to send first).
-    fn wait_reply(&self, shard: usize) -> Result<DecideBatch, ServeError> {
-        let rx = &self.batch_reply[shard].1;
-        loop {
-            match rx.recv_timeout(REPLY_POLL) {
-                Ok(batch) => {
-                    // At most one batch in flight per shard per client, so the
-                    // echoed tag can only be the lane's own shard.
-                    debug_assert_eq!(batch.tag, shard as u64);
-                    return Ok(batch);
+            let shard = self.engine.shard_of(tenant);
+            self.engine.run(shard, admission, |s| {
+                for (round, event) in window.drain(..) {
+                    s.feedback(tenant, round, event);
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.engine.shard_is_down(shard) {
-                        if let Ok(batch) = rx.try_recv() {
-                            return Ok(batch);
-                        }
-                        return Err(ServeError::EngineDown);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(ServeError::EngineDown),
-            }
-        }
+                count
+            })
+        };
+        // A refused window is dropped; the buffer is kept for the next one.
+        window.clear();
+        self.window = window;
+        result
     }
-}
-
-/// Appends a `(tenant, n)` request to a recycled buffer at `*entries`,
-/// reusing entry strings in place and advancing the cursor. `n` is split
-/// across entries only when it exceeds the `u32` count width of a single
-/// request.
-fn append_decide_requests(
-    requests: &mut Vec<DecideRequest>,
-    entries: &mut usize,
-    tenant: &str,
-    mut n: usize,
-) {
-    while n > 0 {
-        let count = u32::try_from(n).unwrap_or(u32::MAX);
-        if *entries < requests.len() {
-            let entry = &mut requests[*entries];
-            entry.tenant.clear();
-            entry.tenant.push_str(tenant);
-            entry.count = count;
-        } else {
-            requests.push(DecideRequest {
-                tenant: tenant.to_owned(),
-                count,
-            });
-        }
-        *entries += 1;
-        n -= count as usize;
-    }
-}
-
-/// Writes a single `(tenant, n)` request list into a recycled buffer,
-/// truncating any stale tail entries.
-fn write_decide_requests(requests: &mut Vec<DecideRequest>, tenant: &str, n: usize) {
-    let mut entries = 0usize;
-    append_decide_requests(requests, &mut entries, tenant, n);
-    requests.truncate(entries);
 }
 
 #[cfg(test)]
@@ -771,11 +399,10 @@ mod tests {
         engine.shutdown();
     }
 
-    /// Deterministic overload: wedge the single shard on a rendezvous `Drain`
-    /// reply, fill its capacity-1 queue, and the `try_*` paths must return
-    /// [`ServeError::Overloaded`] immediately instead of blocking — with all
-    /// request/reply buffers recovered, so the client works normally once the
-    /// shard is released.
+    /// Deterministic overload: wedge the single shard (lock held, admission
+    /// count full) and the `try_*` paths must return
+    /// [`ServeError::Overloaded`] immediately instead of blocking, with
+    /// nothing served; once the shard is released the client works normally.
     #[test]
     fn try_paths_reject_with_overloaded_when_the_shard_queue_is_full() {
         let engine = ServeEngine::start(crate::EngineConfig::new(1).with_queue_capacity(1));
@@ -790,19 +417,7 @@ mod tests {
         );
         engine.create_tenant(spec).unwrap();
 
-        // Wedge the shard: it dequeues this drain and blocks sending the ack
-        // into a rendezvous channel nobody is reading yet.
-        let (wedge_tx, wedge_rx) = std::sync::mpsc::sync_channel::<()>(0);
-        engine
-            .send_to_shard(0, Command::Drain { reply: wedge_tx })
-            .unwrap();
-        // Fill the capacity-1 queue behind the wedged command. The blocking
-        // send also guarantees the wedge drain has been dequeued.
-        let (barrier_tx, barrier_rx) = std::sync::mpsc::sync_channel::<()>(1);
-        engine
-            .send_to_shard(0, Command::Drain { reply: barrier_tx })
-            .unwrap();
-
+        let wedge = engine.wedge_shard(0);
         let mut client = engine.client();
         let mut out = Vec::new();
         assert_eq!(
@@ -814,22 +429,17 @@ mod tests {
             client.try_feedback_many("t", [event]),
             Err(ServeError::Overloaded)
         );
-        // The bounced buffers were recovered into the pools, not leaked into
-        // the queue: nothing reached the shard.
-        assert_eq!(client.request_pool.len(), 1);
-        assert_eq!(client.feedback_pool.len(), 1);
 
-        // Release the shard; the try paths now succeed and the recovered
-        // buffers are reused.
-        wedge_rx.recv().unwrap();
-        barrier_rx.recv().unwrap();
+        // Release the shard; the try paths now succeed.
+        drop(wedge);
         client.try_decide_many("t", 4, &mut out).unwrap();
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(Result::is_ok));
         engine.drain().unwrap();
         let report = engine.metrics().unwrap();
         assert_eq!(report.total_decides(), 4);
-        // The rejected feedback window was never enqueued.
+        assert_eq!(report.overload_rejections, 2);
+        // The rejected feedback window never reached the shard.
         assert_eq!(report.shards[0].rejected, 0);
         engine.shutdown();
     }
@@ -841,7 +451,6 @@ mod tests {
         let mut client = fast.client();
         let mut out = Vec::new();
         for _ in 0..9 {
-            // n == 1 routes through `Command::Decide` / `Command::Feedback`.
             client.decide_many("t", 1, &mut out).unwrap();
             assert_eq!(out.len(), 1);
             let mine = out[0].as_mut().unwrap();
@@ -856,7 +465,8 @@ mod tests {
         }
         fast.drain().unwrap();
         per_call.drain().unwrap();
-        // Same command traffic on both sides: metrics agree exactly.
+        // One shard command per decide and per event on both sides: metrics
+        // agree exactly.
         let (m_fast, m_per_call) = (fast.metrics().unwrap(), per_call.metrics().unwrap());
         assert_eq!(m_fast.tenants, m_per_call.tenants);
         assert_eq!(m_fast.total_decides(), m_per_call.total_decides());
@@ -950,18 +560,5 @@ mod tests {
             .unwrap();
         assert!(out.is_empty());
         engine.shutdown();
-    }
-
-    #[test]
-    fn request_writer_reuses_and_truncates_entries() {
-        let mut requests = Vec::new();
-        write_decide_requests(&mut requests, "alpha", 5);
-        assert_eq!(requests.len(), 1);
-        assert_eq!(requests[0].tenant, "alpha");
-        assert_eq!(requests[0].count, 5);
-        write_decide_requests(&mut requests, "be", 2);
-        assert_eq!(requests.len(), 1);
-        assert_eq!(requests[0].tenant, "be");
-        assert_eq!(requests[0].count, 2);
     }
 }

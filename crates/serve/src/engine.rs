@@ -1,10 +1,10 @@
-//! The multi-tenant serving engine: shard spawning, routing, and the
-//! synchronous client API.
+//! The multi-tenant serving engine: routing, admission, and the synchronous
+//! per-call API. Every call runs on the caller's thread, under the lock of
+//! the shard its tenant routes to.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Mutex;
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use netband_obs::{TraceKind, TraceRing};
 use netband_spec::FleetSpec;
@@ -13,7 +13,7 @@ use netband_store::{StoreConfig, StoreMetrics};
 use crate::api::{DecideReply, FeedbackEvent, RegisterTenantSpec, ServeError};
 use crate::durable;
 use crate::metrics::{MetricsReport, TenantTelemetry, TraceReport};
-use crate::shard::{shard_loop, Command, ShardBoot};
+use crate::shard::{Shard, ShardBoot};
 use crate::snapshot::TenantSnapshot;
 use crate::tenant::TenantSpec;
 
@@ -43,13 +43,15 @@ pub fn stable_tenant_hash(id: &str) -> u64 {
 /// Engine sizing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Number of shard worker threads. Tenants are assigned to shards by
+    /// Number of shards. Tenants are assigned to shards by
     /// [`stable_tenant_hash`] (an explicitly specified FNV-1a, stable across
     /// toolchains and releases), so the same id always routes to the same
     /// shard for a given shard count.
     pub shards: usize,
-    /// Capacity of each shard's bounded command queue; a full queue blocks
-    /// the sending client (backpressure).
+    /// How many calls each shard admits while it is busy: beyond the one
+    /// running under the shard lock, up to this many may wait for it. The
+    /// non-blocking `try_*` paths answer [`ServeError::Overloaded`] past that
+    /// point; the blocking paths always wait for the lock (backpressure).
     pub queue_capacity: usize,
     /// Capacity of each shard's (and the engine's) structured trace ring.
     /// When a ring is full the oldest events are overwritten; the number of
@@ -65,7 +67,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// A config with `shards` workers and the default queue capacity.
+    /// A config with `shards` shards and the default queue capacity.
     pub fn new(shards: usize) -> Self {
         EngineConfig {
             shards: shards.max(1),
@@ -75,7 +77,7 @@ impl EngineConfig {
         }
     }
 
-    /// Overrides the per-shard command queue capacity.
+    /// Overrides the per-shard admission capacity.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
         self
@@ -104,48 +106,76 @@ impl Default for EngineConfig {
     }
 }
 
-/// Holds a shard wedged — its worker blocked and its command queue full —
-/// until dropped. Returned by [`ServeEngine::wedge_shard`] (test support).
-#[doc(hidden)]
-pub struct ShardWedge {
-    releases: Vec<Receiver<()>>,
+/// Whether a call may be refused when its shard is busy.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// Wait for the shard lock however many calls are ahead.
+    Block,
+    /// Answer [`ServeError::Overloaded`] when the shard already admitted its
+    /// capacity.
+    Try,
 }
 
-impl Drop for ShardWedge {
+/// One shard plus its admission count, which callers read before taking the
+/// lock.
+struct ShardSlot {
+    /// `None` once the shard is down: after shutdown, or after a command
+    /// panicked under the lock.
+    shard: Mutex<Option<Shard>>,
+    /// Calls admitted and not yet finished: the one holding the lock plus
+    /// those waiting for it. It publishes no other data, so `Relaxed`.
+    in_flight: AtomicUsize,
+}
+
+/// Decrements an in-flight count when dropped, on every exit path.
+struct Admitted<'a>(&'a AtomicUsize);
+
+impl Drop for Admitted<'_> {
     fn drop(&mut self) {
-        for release in &self.releases {
-            // A panicked shard drops its ack sender; either way the shard is
-            // no longer wedged once every receiver has been observed.
-            let _ = release.recv();
-        }
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Holds a shard wedged — its lock taken and its admission count full —
+/// until dropped. Returned by [`ServeEngine::wedge_shard`] (test support).
+#[doc(hidden)]
+pub struct ShardWedge<'e> {
+    _lock: MutexGuard<'e, Option<Shard>>,
+    in_flight: &'e AtomicUsize,
+    held: usize,
+}
+
+impl Drop for ShardWedge<'_> {
+    fn drop(&mut self) {
+        self.in_flight.fetch_sub(self.held, Ordering::Relaxed);
     }
 }
 
 /// A sharded multi-tenant serving engine.
 ///
 /// The engine hosts independent bandit *tenants* (experiment id → policy +
-/// environment), distributed across worker threads by tenant id. All methods
-/// take `&self` and the engine is [`Sync`], so any number of client threads
-/// can drive it concurrently (e.g. through [`std::thread::scope`]); commands
-/// for the same tenant are serialised by its shard's FIFO queue.
+/// environment), distributed across shards by tenant id. All methods take
+/// `&self` and the engine is [`Sync`], so any number of client threads can
+/// drive it concurrently (e.g. through [`std::thread::scope`]). Each call
+/// runs on the calling thread under its shard's lock, so calls for the same
+/// tenant are serialised and calls for tenants on different shards run in
+/// parallel.
 ///
 /// See the [crate docs](crate) for a full walkthrough and the
 /// delayed-feedback semantics.
 pub struct ServeEngine {
-    senders: Vec<SyncSender<Command>>,
-    handles: Vec<JoinHandle<()>>,
+    shards: Vec<ShardSlot>,
     queue_capacity: usize,
-    /// Overload rejections happen on the *caller* side (`try_send` found the
-    /// queue full; the shard never saw the command), so the engine — not a
-    /// shard — keeps the count and the trace events. Cold path only: the
-    /// atomic and the mutex are touched exclusively when a command is
+    /// Overload rejections happen before a shard is touched, so the engine —
+    /// not a shard — keeps the count and the trace events. Cold path only:
+    /// the atomic and the mutex are touched exclusively when a call is
     /// rejected or when observability is scraped.
     overload_rejections: AtomicU64,
     trace: Mutex<TraceRing>,
 }
 
 impl ServeEngine {
-    /// Starts the shard worker threads.
+    /// Starts the engine.
     ///
     /// A literal-built config with `shards == 0` is treated as 1 (the
     /// constructors already clamp; this keeps a hand-built
@@ -162,14 +192,13 @@ impl ServeEngine {
         ServeEngine::try_start(config).expect("open and recover the engine's durable store")
     }
 
-    /// Starts the shard worker threads, recovering each shard's durable
-    /// state first when the config carries a store.
+    /// Starts the engine, recovering each shard's durable state first when
+    /// the config carries a store.
     ///
-    /// Recovery runs serially on the calling thread *before* any worker is
-    /// spawned: each shard's latest valid snapshot set is loaded and its WAL
-    /// tail replayed through the ordinary decide/feedback paths, so a
-    /// `kill -9` at any round resumes bit-exactly. Store-less configs never
-    /// fail.
+    /// Recovery runs serially on the calling thread: each shard's latest
+    /// valid snapshot set is loaded and its WAL tail replayed through the
+    /// ordinary decide/feedback paths, so a `kill -9` at any round resumes
+    /// bit-exactly. Store-less configs never fail.
     ///
     /// # Errors
     ///
@@ -178,84 +207,70 @@ impl ServeEngine {
     /// that is the crash contract — but corruption mid-log is loud), or
     /// replay references state the log cannot reproduce.
     pub fn try_start(config: EngineConfig) -> Result<Self, ServeError> {
-        let shards = config.shards.max(1);
         let trace_capacity = config.trace_capacity.max(1);
-        let mut boots = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            boots.push(match &config.store {
+        let mut shards = Vec::with_capacity(config.shards.max(1));
+        for shard in 0..config.shards.max(1) {
+            let boot = match &config.store {
                 Some(store) => durable::recover_shard(store, shard)?,
                 None => ShardBoot::in_memory(),
+            };
+            shards.push(ShardSlot {
+                shard: Mutex::new(Some(Shard::new(trace_capacity, boot))),
+                in_flight: AtomicUsize::new(0),
             });
         }
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for (shard, boot) in boots.into_iter().enumerate() {
-            let (sender, receiver) = sync_channel(config.queue_capacity);
-            let handle = std::thread::Builder::new()
-                .name(format!("netband-shard-{shard}"))
-                .spawn(move || shard_loop(receiver, trace_capacity, boot))
-                .expect("spawn shard worker thread");
-            senders.push(sender);
-            handles.push(handle);
-        }
         Ok(ServeEngine {
-            senders,
-            handles,
+            shards,
             queue_capacity: config.queue_capacity.max(1),
             overload_rejections: AtomicU64::new(0),
             trace: Mutex::new(TraceRing::new(trace_capacity)),
         })
     }
 
-    /// Starts an engine with `shards` workers and default queue sizing.
+    /// Starts an engine with `shards` shards and default sizing.
     pub fn with_shards(shards: usize) -> Self {
         ServeEngine::start(EngineConfig::new(shards))
     }
 
-    /// Number of shard worker threads.
+    /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.senders.len()
+        self.shards.len()
     }
 
-    /// Capacity of each shard's bounded command queue.
+    /// How many calls each shard admits while busy; see
+    /// [`EngineConfig::queue_capacity`].
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
     }
 
-    /// Test support: wedges `shard` so its command queue is observably full,
-    /// returning a guard that releases the shard when dropped. While wedged,
-    /// the `try_*` admission paths return
-    /// [`ServeError::Overloaded`] deterministically — the wire-protocol suite
-    /// uses this to exercise the overload error frame end to end without
-    /// racing the shard's drain speed.
+    /// Test support: wedges `shard` — takes its lock and fills its admission
+    /// count — returning a guard that releases the shard when dropped. While
+    /// wedged, the `try_*` admission paths return [`ServeError::Overloaded`]
+    /// deterministically and blocking calls wait; the wire-protocol suite
+    /// uses this to exercise the overload error frame end to end.
+    ///
+    /// # Panics
+    ///
+    /// When the shard is down.
     #[doc(hidden)]
-    pub fn wedge_shard(&self, shard: usize) -> ShardWedge {
-        // The shard dequeues this drain and blocks sending the ack into a
-        // rendezvous channel the guard has not read yet.
-        let (ack, release) = sync_channel(0);
-        self.send_to_shard(shard, Command::Drain { reply: ack })
-            .expect("wedge a live shard");
-        let mut releases = vec![release];
-        // Fill every queue slot behind the wedged command. The sends block
-        // until the wedge drain has been dequeued, so when the last one
-        // returns the queue is exactly full.
-        for _ in 0..self.queue_capacity {
-            let (ack, release) = sync_channel(1);
-            self.send_to_shard(shard, Command::Drain { reply: ack })
-                .expect("fill a live shard queue");
-            releases.push(release);
+    pub fn wedge_shard(&self, shard: usize) -> ShardWedge<'_> {
+        let slot = &self.shards[shard];
+        let lock = slot.shard.lock().expect("wedge a live shard");
+        assert!(lock.is_some(), "wedge a live shard");
+        // The wedge is the running call plus a full wait line.
+        let held = self.queue_capacity + 1;
+        slot.in_flight.fetch_add(held, Ordering::Relaxed);
+        ShardWedge {
+            _lock: lock,
+            in_flight: &slot.in_flight,
+            held,
         }
-        ShardWedge { releases }
     }
 
     /// The shard a tenant id routes to: [`stable_tenant_hash`] reduced modulo
     /// the shard count. Stable across processes, toolchains, and releases.
     pub fn shard_of(&self, tenant: &str) -> usize {
-        (stable_tenant_hash(tenant) % self.senders.len() as u64) as usize
-    }
-
-    fn sender_for(&self, tenant: &str) -> &SyncSender<Command> {
-        &self.senders[self.shard_of(tenant)]
+        (stable_tenant_hash(tenant) % self.shards.len() as u64) as usize
     }
 
     /// Creates a batched client handle over this engine; see
@@ -265,65 +280,66 @@ impl ServeEngine {
         crate::ServeClient::new(self)
     }
 
-    /// Enqueues a pre-built command on `shard` (the batched client path).
-    pub(crate) fn send_to_shard(&self, shard: usize, command: Command) -> Result<(), ServeError> {
-        self.senders[shard]
-            .send(command)
-            .map_err(|_| ServeError::EngineDown)
-    }
-
-    /// Non-blocking [`ServeEngine::send_to_shard`]: a full queue returns the
-    /// command to the caller instead of blocking (the admission-control path
-    /// of the network front end). The caller recovers its buffers from the
-    /// returned command and surfaces [`ServeError::Overloaded`].
-    // The Err variant deliberately carries the whole rejected command so the
-    // caller can take its pooled buffers back — boxing it would trade one
-    // cold-path copy for a hot-path allocation.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn try_send_to_shard(
+    /// Runs one command on `shard`, on the calling thread, under the shard's
+    /// lock.
+    ///
+    /// Admission comes first and takes no lock: a [`Admission::Try`] call
+    /// that finds the shard's in-flight count past the queue capacity is
+    /// refused with [`ServeError::Overloaded`]. A command that panics (a
+    /// store failure is fatal to its shard) marks the shard down; it and
+    /// every later call for that shard answer [`ServeError::EngineDown`],
+    /// while the other shards keep serving.
+    pub(crate) fn run<T>(
         &self,
         shard: usize,
-        command: Command,
-    ) -> Result<(), TrySendError<Command>> {
-        let result = self.senders[shard].try_send(command);
-        if let Err(TrySendError::Full(_)) = &result {
-            // Queue-full rejections never reach the shard, so they are
-            // accounted here at the engine level.
-            self.overload_rejections.fetch_add(1, Ordering::Relaxed);
-            if let Ok(mut ring) = self.trace.lock() {
-                ring.record(
-                    TraceKind::ShardOverloaded {
-                        shard: shard as u32,
-                    },
-                    "",
-                );
-            }
-        }
-        result
-    }
-
-    /// Whether `shard`'s worker thread has exited (shutdown or panic). Used
-    /// by the batched client to avoid waiting forever on a reply that can no
-    /// longer arrive.
-    pub(crate) fn shard_is_down(&self, shard: usize) -> bool {
-        self.handles
-            .get(shard)
-            .map(std::thread::JoinHandle::is_finished)
-            .unwrap_or(true)
-    }
-
-    /// Sends a command built around a fresh reply channel and waits for the
-    /// answer.
-    fn request<T>(
-        &self,
-        sender: &SyncSender<Command>,
-        build: impl FnOnce(SyncSender<Result<T, ServeError>>) -> Command,
+        admission: Admission,
+        command: impl FnOnce(&mut Shard) -> T,
     ) -> Result<T, ServeError> {
-        let (reply, response) = sync_channel(1);
-        sender
-            .send(build(reply))
-            .map_err(|_| ServeError::EngineDown)?;
-        response.recv().map_err(|_| ServeError::EngineDown)?
+        let slot = &self.shards[shard];
+        let ahead = slot.in_flight.fetch_add(1, Ordering::Relaxed);
+        let _admitted = Admitted(&slot.in_flight);
+        if admission == Admission::Try && ahead > self.queue_capacity {
+            self.record_overload(shard);
+            return Err(ServeError::Overloaded);
+        }
+        let mut guard = slot.shard.lock().map_err(|_| ServeError::EngineDown)?;
+        let live = guard.as_mut().ok_or(ServeError::EngineDown)?;
+        let outcome = catch_unwind(AssertUnwindSafe(|| live.execute(command)));
+        outcome.map_err(|_| {
+            *guard = None;
+            ServeError::EngineDown
+        })
+    }
+
+    /// Counts and traces one overload rejection. The shard never saw the
+    /// call, so it is accounted here at the engine level.
+    fn record_overload(&self, shard: usize) {
+        self.overload_rejections.fetch_add(1, Ordering::Relaxed);
+        if let Ok(mut ring) = self.trace.lock() {
+            ring.record(
+                TraceKind::ShardOverloaded {
+                    shard: shard as u32,
+                },
+                "",
+            );
+        }
+    }
+
+    /// Runs one blocking command on the shard `tenant` routes to.
+    fn run_for<T>(
+        &self,
+        tenant: &str,
+        command: impl FnOnce(&mut Shard) -> T,
+    ) -> Result<T, ServeError> {
+        self.run(self.shard_of(tenant), Admission::Block, command)
+    }
+
+    /// Runs one blocking command on every shard in turn, collecting the
+    /// answers in shard order.
+    fn run_all<T>(&self, mut command: impl FnMut(&mut Shard) -> T) -> Result<Vec<T>, ServeError> {
+        (0..self.shards.len())
+            .map(|shard| self.run(shard, Admission::Block, &mut command))
+            .collect()
     }
 
     /// Registers a new tenant on the shard its id routes to.
@@ -333,11 +349,8 @@ impl ServeEngine {
     /// [`ServeError::DuplicateTenant`] if the id is taken,
     /// [`ServeError::EngineDown`] after shutdown.
     pub fn create_tenant(&self, spec: TenantSpec) -> Result<(), ServeError> {
-        let sender = self.sender_for(spec.id());
-        self.request(sender, |reply| Command::Create {
-            spec: Box::new(spec),
-            reply,
-        })
+        let shard = self.shard_of(spec.id());
+        self.run(shard, Admission::Block, |s| s.create(spec))?
     }
 
     /// Registers a tenant from a declarative scenario document (the
@@ -377,113 +390,75 @@ impl ServeEngine {
     /// is rebuilt on restore, so snapshots taken before a shutdown resume
     /// bit-identically on a fresh engine.
     pub fn restore_tenant(&self, snapshot: TenantSnapshot) -> Result<(), ServeError> {
-        let sender = self.sender_for(snapshot.id());
-        self.request(sender, |reply| Command::Restore {
-            snapshot: Box::new(snapshot),
-            reply,
-        })
+        let shard = self.shard_of(snapshot.id());
+        self.run(shard, Admission::Block, |s| s.restore(snapshot))?
     }
 
-    /// Serves one decision for `tenant`, blocking until its shard answers.
+    /// Serves one decision for `tenant`.
     pub fn decide(&self, tenant: &str) -> Result<DecideReply, ServeError> {
-        self.request(self.sender_for(tenant), |reply| Command::Decide {
-            tenant: tenant.to_owned(),
-            reply,
-        })
+        let mut slot = [Err(ServeError::EngineDown)];
+        self.run_for(tenant, |s| s.decide_many(tenant, &mut slot))?;
+        let [reply] = slot;
+        reply
     }
 
-    /// Ingests one feedback event for `tenant`'s round `round`,
-    /// fire-and-forget. Events may arrive delayed, in batches, and out of
-    /// round order; each tenant applies its queue in round order at flush
-    /// points (see [`crate::FlushPolicy`]).
+    /// Ingests one feedback event for `tenant`'s round `round`. Events may
+    /// arrive delayed, in batches, and out of round order; each tenant queues
+    /// them and applies its queue in round order at flush points (see
+    /// [`crate::FlushPolicy`]). The event is queued (and any flush it
+    /// triggers applied) before the call returns.
     ///
-    /// A full shard queue blocks the caller (backpressure). Feedback for an
-    /// unknown tenant, of the wrong kind, or quoting a round the tenant never
-    /// served is dropped and counted in [`crate::ShardMetrics::rejected`].
+    /// Feedback for an unknown tenant, of the wrong kind, or quoting a round
+    /// the tenant never served is dropped and counted in
+    /// [`crate::ShardMetrics::rejected`] rather than returned as an error.
     /// Duplicate delivery of a served round is *not* detected — at-most-once
     /// delivery is the caller's responsibility.
     ///
     /// # Errors
     ///
-    /// [`ServeError::EngineDown`] after shutdown.
+    /// [`ServeError::EngineDown`] after shutdown, or when the tenant's shard
+    /// is down.
     pub fn feedback(
         &self,
         tenant: &str,
         round: u64,
         event: FeedbackEvent,
     ) -> Result<(), ServeError> {
-        self.sender_for(tenant)
-            .send(Command::Feedback {
-                tenant: tenant.to_owned(),
-                round,
-                event,
-            })
-            .map_err(|_| ServeError::EngineDown)
+        self.run_for(tenant, |s| s.feedback(tenant, round, event))
     }
 
-    /// Asks `tenant` to apply its pending feedback now (fire-and-forget).
+    /// Asks `tenant` to apply its pending feedback now. An unknown tenant is
+    /// counted in [`crate::ShardMetrics::rejected`].
     ///
     /// # Errors
     ///
     /// [`ServeError::EngineDown`] after shutdown.
     pub fn flush(&self, tenant: &str) -> Result<(), ServeError> {
-        self.sender_for(tenant)
-            .send(Command::Flush {
-                tenant: tenant.to_owned(),
-            })
-            .map_err(|_| ServeError::EngineDown)
+        self.run_for(tenant, |s| s.flush(tenant))
     }
 
     /// Checkpoints `tenant` (flushing its pending feedback first) without
     /// removing it.
     pub fn snapshot_tenant(&self, tenant: &str) -> Result<TenantSnapshot, ServeError> {
-        self.request(self.sender_for(tenant), |reply| Command::Snapshot {
-            tenant: tenant.to_owned(),
-            reply,
-        })
+        self.run_for(tenant, |s| s.snapshot(tenant))?
     }
 
     /// Removes `tenant` from the engine, returning its final checkpoint.
     pub fn evict_tenant(&self, tenant: &str) -> Result<TenantSnapshot, ServeError> {
-        self.request(self.sender_for(tenant), |reply| Command::Evict {
-            tenant: tenant.to_owned(),
-            reply,
-        })
+        self.run_for(tenant, |s| s.evict(tenant))?
     }
 
-    /// Flushes every tenant's pending feedback on every shard and waits until
-    /// all previously enqueued commands have been processed (a full-engine
-    /// barrier).
+    /// Flushes every tenant's pending feedback on every shard (on a durable
+    /// engine, also forcing every WAL to disk).
     pub fn drain(&self) -> Result<(), ServeError> {
-        let mut responses = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (reply, response) = sync_channel(1);
-            sender
-                .send(Command::Drain { reply })
-                .map_err(|_| ServeError::EngineDown)?;
-            responses.push(response);
-        }
-        for response in responses {
-            response.recv().map_err(|_| ServeError::EngineDown)?;
-        }
+        self.run_all(Shard::drain)?;
         Ok(())
     }
 
-    /// Gathers a point-in-time metrics report from every shard. Like
-    /// [`ServeEngine::drain`], acts as a queue barrier, so the report covers
-    /// everything enqueued before the call.
+    /// Gathers a point-in-time metrics report from every shard.
     pub fn metrics(&self) -> Result<MetricsReport, ServeError> {
-        let mut responses = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (reply, response) = sync_channel(1);
-            sender
-                .send(Command::Metrics { reply })
-                .map_err(|_| ServeError::EngineDown)?;
-            responses.push(response);
-        }
         let mut report = MetricsReport::default();
-        for response in responses {
-            let shard = response.recv().map_err(|_| ServeError::EngineDown)?;
+        for shard in self.run_all(Shard::report)? {
             report.shards.push(shard.metrics);
             report.tenants.extend(shard.tenants);
         }
@@ -499,27 +474,17 @@ impl ServeEngine {
     /// (events still queued are counted in
     /// [`TenantTelemetry::pending_feedback`]).
     pub fn telemetry(&self, tenant: &str) -> Result<TenantTelemetry, ServeError> {
-        self.request(self.sender_for(tenant), |reply| Command::Telemetry {
-            tenant: tenant.to_owned(),
-            reply,
-        })
+        self.run_for(tenant, |s| s.telemetry(tenant))?
     }
 
     /// Telemetry snapshots for every tenant on every shard, sorted by tenant
-    /// id. Acts as a queue barrier per shard, like [`ServeEngine::metrics`].
+    /// id.
     pub fn telemetry_all(&self) -> Result<Vec<TenantTelemetry>, ServeError> {
-        let mut responses = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (reply, response) = sync_channel(1);
-            sender
-                .send(Command::TelemetryAll { reply })
-                .map_err(|_| ServeError::EngineDown)?;
-            responses.push(response);
-        }
-        let mut all = Vec::new();
-        for response in responses {
-            all.extend(response.recv().map_err(|_| ServeError::EngineDown)?);
-        }
+        let mut all: Vec<TenantTelemetry> = self
+            .run_all(Shard::telemetry_all)?
+            .into_iter()
+            .flatten()
+            .collect();
         all.sort_by(|a, b| a.id.cmp(&b.id));
         Ok(all)
     }
@@ -527,24 +492,13 @@ impl ServeEngine {
     /// The durable store's counters summed across every shard — WAL appends
     /// and fsyncs, the live WAL-size gauge, compactions, evictions and
     /// rehydrations, and what recovery replayed at boot. `Ok(None)` when the
-    /// engine runs without a store. Acts as a queue barrier per shard, like
-    /// [`ServeEngine::metrics`].
+    /// engine runs without a store.
     pub fn store_metrics(&self) -> Result<Option<StoreMetrics>, ServeError> {
-        let mut responses = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (reply, response) = sync_channel(1);
-            sender
-                .send(Command::StoreMetrics { reply })
-                .map_err(|_| ServeError::EngineDown)?;
-            responses.push(response);
-        }
         let mut total: Option<StoreMetrics> = None;
-        for response in responses {
-            if let Some(shard) = response.recv().map_err(|_| ServeError::EngineDown)? {
-                total
-                    .get_or_insert_with(StoreMetrics::default)
-                    .absorb(&shard);
-            }
+        for shard in self.run_all(|s| s.store_metrics())?.into_iter().flatten() {
+            total
+                .get_or_insert_with(StoreMetrics::default)
+                .absorb(&shard);
         }
         Ok(total)
     }
@@ -554,41 +508,32 @@ impl ServeEngine {
     /// [`TraceReport`]. Draining resets the rings (events are returned once);
     /// sequence numbers keep counting across drains.
     pub fn trace(&self) -> Result<TraceReport, ServeError> {
-        let mut responses = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (reply, response) = sync_channel(1);
-            sender
-                .send(Command::Trace { reply })
-                .map_err(|_| ServeError::EngineDown)?;
-            responses.push(response);
-        }
-        let mut report = TraceReport::default();
-        for response in responses {
-            report
-                .shards
-                .push(response.recv().map_err(|_| ServeError::EngineDown)?);
-        }
+        let mut report = TraceReport {
+            shards: self.run_all(Shard::drain_trace)?,
+            engine: Vec::new(),
+        };
         if let Ok(mut ring) = self.trace.lock() {
             ring.drain_into(&mut report.engine);
         }
         Ok(report)
     }
 
-    /// Stops every shard after it finishes its queued work, and joins the
-    /// worker threads. Dropping the engine does the same implicitly.
+    /// Stops every shard: waits for each shard's running call, forces its
+    /// WAL to disk, and marks it down, so later calls answer
+    /// [`ServeError::EngineDown`]. Dropping the engine does the same
+    /// implicitly.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        for sender in &self.senders {
-            // A shard that already exited has dropped its receiver; fine.
-            let _ = sender.send(Command::Shutdown);
-        }
-        // Senders are kept so later requests fail with `EngineDown` instead
-        // of panicking on routing.
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        for slot in &self.shards {
+            // A poisoned or already-down shard has nothing left to sync.
+            if let Some(mut shard) = slot.shard.lock().ok().and_then(|mut s| s.take()) {
+                // A failed final sync is fatal to the shard, which is going
+                // down anyway; there is no caller left to tell.
+                let _ = catch_unwind(AssertUnwindSafe(|| shard.execute(Shard::sync)));
+            }
         }
     }
 }

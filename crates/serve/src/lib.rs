@@ -5,19 +5,19 @@
 //! traffic?". A [`ServeEngine`] hosts many independent bandit **tenants**
 //! (experiment id → any policy from `netband-core`/`netband-baselines` over a
 //! [`NetworkedBandit`](netband_env::NetworkedBandit) environment), sharded
-//! across worker threads by [`stable_tenant_hash`] — an explicitly specified
-//! FNV-1a over the tenant id, stable across toolchains and releases.
+//! by [`stable_tenant_hash`] — an explicitly specified FNV-1a over the tenant
+//! id, stable across toolchains and releases.
 //!
 //! ## Architecture
 //!
 //! ```text
-//!  clients (any number of threads)
+//!  callers (any number of threads: net connections, ServeClients, …)
 //!     │  decide("exp-7") / feedback("exp-7", round, event) / snapshot …
 //!     ▼
-//!  ServeEngine ──hash(tenant id)──► shard 0 ─┐   each shard: one std::thread
-//!                                  shard 1 ─┤   draining a bounded command
-//!                                  …        │   channel (backpressure), owning
-//!                                  shard N ─┘   a disjoint set of tenants
+//!  ServeEngine ──hash(tenant id)──► shard 0 ─┐   each shard: a Mutex over a
+//!                                  shard 1 ─┤   disjoint set of tenants, run
+//!                                  …        │   by whichever caller holds the
+//!                                  shard N ─┘   lock (admission-counted)
 //!                                      │
 //!                                      ▼
 //!                    Tenant { policy, environment, RNG, pending feedback,
@@ -25,8 +25,12 @@
 //! ```
 //!
 //! Everything is `std`-only (no async runtime — the workspace's vendored
-//! dependency set has none): a shard is a plain thread running an actor loop,
-//! so the hot path takes no locks and tenant state never crosses threads.
+//! dependency set has none), and no shard owns a thread: a call takes its
+//! shard's lock and runs to completion on the calling thread, so a decide
+//! costs one uncontended lock instead of a hand-off to another thread and
+//! back. Calls for one tenant are serialised by its shard's lock; calls for
+//! tenants on different shards run in parallel. A call that panics (a store
+//! failure is fatal to its shard) takes only that shard down.
 //!
 //! ## Delayed, out-of-order feedback
 //!
@@ -43,19 +47,16 @@
 //!
 //! ## Batched serving
 //!
-//! The per-call methods above pay one reply-channel construction and two
-//! channel hops per decision. The hot path for real traffic is the
-//! [`ServeClient`] handle ([`ServeEngine::client`]): one long-lived reply
-//! channel per client, [`ServeClient::decide_many`] amortising a single
-//! command/reply round-trip over `n` decisions, and
-//! [`ServeClient::feedback_many`] ingesting a whole feedback window per
-//! command — with every request/reply buffer (tenant-id strings, decision
-//! vectors, echoed feedback) recycled, so a steady-state batched decide
-//! allocates nothing on either side. Batching changes transport only: the
-//! served trajectories, per-tenant metrics, and flush semantics are
-//! bit-identical to the per-call sequence (pinned by
+//! The per-call methods above take the shard lock once per decision. The
+//! [`ServeClient`] handle ([`ServeEngine::client`]) takes it once per batch:
+//! [`ServeClient::decide_many`] serves `n` decisions into the caller's
+//! reused reply vector, refilling its warm slots in place so a steady-state
+//! batched decide allocates nothing, and [`ServeClient::feedback_many`]
+//! ingests a whole feedback window. Batching changes how often the lock is
+//! taken only: the served trajectories, per-tenant metrics, and flush
+//! semantics are bit-identical to the per-call sequence (pinned by
 //! `tests/serve_equivalence.rs`). Shard-level command counts necessarily
-//! differ — one `DecideMany` is one command however many decisions it
+//! differ — one `decide_many` is one command however many decisions it
 //! carries.
 //!
 //! ## Example
@@ -93,7 +94,7 @@
 //! for (round, event) in pending.into_iter().rev() {
 //!     engine.feedback("exp-0", round, event).unwrap();
 //! }
-//! engine.drain().unwrap(); // apply everything queued (a full-engine barrier)
+//! engine.drain().unwrap(); // apply every tenant's pending feedback
 //!
 //! let report = engine.metrics().unwrap();
 //! assert_eq!(report.total_decides(), 20);

@@ -1,10 +1,9 @@
 //! Lightweight serving metrics: per-tenant counters, batch-size accounting,
 //! latency histograms, and per-tenant learning telemetry.
 //!
-//! Every shard owns the metrics of its tenants — no cross-thread sharing, no
+//! Every shard owns the metrics of its tenants, behind the shard's lock — no
 //! atomics on the hot path. The engine gathers a [`MetricsReport`] on demand
-//! by round-tripping a command through every shard, which also acts as a
-//! queue barrier (all previously enqueued work is reflected in the report).
+//! by running a command on every shard in turn.
 //!
 //! The latency histogram itself lives in `netband-obs` (the registry's text
 //! exposition needs bucket-level access); it is re-exported here so existing
@@ -24,16 +23,18 @@ pub use netband_env::TenantMetrics;
 /// extra monotonic-clock reads off the common path.
 pub const STAGE_SAMPLE_EVERY: u64 = 32;
 
-/// Counters of one shard's command loop.
+/// Counters of one shard's commands.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
-    /// Commands processed (all kinds).
+    /// Commands processed (all kinds): one per engine call on this shard,
+    /// one per `ServeClient` batch.
     pub commands: u64,
-    /// Feedback or flush commands addressed to a tenant the shard does not
-    /// host (fire-and-forget commands cannot return an error, so they are
-    /// counted here instead).
+    /// Feedback events and flushes the shard dropped: addressed to a tenant
+    /// it does not host, of the wrong kind, or for an unserved round (the
+    /// feedback calls do not return per-event errors, so they are counted
+    /// here instead).
     pub rejected: u64,
-    /// Latency of `Decide` handling (select + pull + score + reply build).
+    /// Latency of each decide (select + pull + score + reply build).
     pub decide_latency: LatencyHistogram,
     /// Latency of feedback ingestion (queueing plus any triggered flush).
     pub feedback_latency: LatencyHistogram,
@@ -47,12 +48,12 @@ pub struct ShardMetrics {
 /// A point-in-time view of the whole engine's metrics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
-    /// Per-shard command-loop metrics, indexed by shard.
+    /// Per-shard command metrics, indexed by shard.
     pub shards: Vec<ShardMetrics>,
     /// Per-tenant counters of every hosted tenant, sorted by tenant id.
     pub tenants: Vec<(String, TenantMetrics)>,
-    /// Commands the engine rejected because a shard's queue was full
-    /// (counted engine-side at the `try_send` that failed — the shard never
+    /// Calls the engine refused because a shard had already admitted its
+    /// queue capacity (counted engine-side at admission — the shard never
     /// saw these, so they appear in no shard's counters).
     pub overload_rejections: u64,
 }
@@ -99,11 +100,9 @@ impl MetricsReport {
 /// A point-in-time learning snapshot of one tenant: what the policy has
 /// *learned*, not just how much traffic it served.
 ///
-/// Gathered through the owning shard's command loop like
-/// [`MetricsReport`], so reading telemetry is a queue barrier for that shard
-/// but never perturbs the tenant (no flush is triggered — the estimator view
-/// reflects **flushed** feedback only, pending events are counted but not
-/// applied).
+/// Gathered under the owning shard's lock like [`MetricsReport`], and never
+/// perturbs the tenant (no flush is triggered — the estimator view reflects
+/// **flushed** feedback only, pending events are counted but not applied).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantTelemetry {
     /// Tenant id.
@@ -147,7 +146,7 @@ impl TenantTelemetry {
 pub struct TraceReport {
     /// Per-shard trace events, oldest first, indexed by shard.
     pub shards: Vec<Vec<TraceEvent>>,
-    /// Engine-level events (overload rejections recorded at `try_send`).
+    /// Engine-level events (overload rejections recorded at admission).
     pub engine: Vec<TraceEvent>,
 }
 

@@ -1,9 +1,12 @@
-//! Shard actor loop: one worker thread owning a disjoint set of tenants.
+//! A shard: a disjoint set of tenants behind one lock, run by its callers.
 //!
-//! A shard is a plain `std::thread` draining a bounded command channel — the
-//! repo's `std`-only threading convention (no async runtime in the vendored
-//! dependency set). All tenant state is thread-local to the shard, so the hot
-//! path takes no locks; the bounded channel provides backpressure to clients.
+//! A shard owns no thread. The engine keeps each [`Shard`] behind its own
+//! `Mutex`, and whichever thread has a command for it — a network
+//! connection, a [`ServeClient`](crate::ServeClient), a per-call engine
+//! method — takes the lock and runs the command to completion inline
+//! ([`Shard::execute`]). Tenants never leave their shard, so commands for
+//! one tenant are serialised by the lock, and shards never wait on each
+//! other: no command holds two shard locks.
 //!
 //! # Durability (optional)
 //!
@@ -16,9 +19,11 @@
 //! log can no longer be written the durability contract cannot be honoured,
 //! and dying loudly beats silently diverging from the on-disk state
 //! (crash-only design — the next boot recovers from the last durable point).
+//! The failure panics; the engine catches the panic and marks the shard
+//! down, so that shard answers [`ServeError::EngineDown`] from then on
+//! while the others keep serving.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::time::Instant;
 
 use netband_obs::{DecideStage, StageClock, TraceEvent, TraceKind, TraceRing};
@@ -30,113 +35,6 @@ use crate::durable::{self, ShardDurability};
 use crate::metrics::{ShardMetrics, TenantMetrics, TenantTelemetry, STAGE_SAMPLE_EVERY};
 use crate::snapshot::TenantSnapshot;
 use crate::tenant::{Tenant, TenantSpec};
-
-/// One entry of a batched decide command: `count` consecutive decisions for
-/// `tenant`. Request buffers are recycled through the reply, so the tenant-id
-/// strings stay warm across batches.
-#[derive(Debug)]
-pub(crate) struct DecideRequest {
-    pub(crate) tenant: TenantId,
-    pub(crate) count: u32,
-}
-
-/// One entry of a batched feedback command. The event is `mem::take`n out by
-/// the shard, so a recycled entry keeps its tenant-id string (and nothing
-/// else) warm.
-#[derive(Debug)]
-pub(crate) struct FeedbackRequest {
-    pub(crate) tenant: TenantId,
-    pub(crate) round: u64,
-    pub(crate) event: FeedbackEvent,
-}
-
-/// A completed `DecideMany` batch travelling back to its client: the filled
-/// reply slots plus the request buffer, returned for recycling. `tag` echoes
-/// the client-chosen command tag so one pooled reply channel can serve
-/// batches sent to several shards.
-pub(crate) struct DecideBatch {
-    pub(crate) tag: u64,
-    pub(crate) requests: Vec<DecideRequest>,
-    pub(crate) replies: Vec<Result<DecideReply, ServeError>>,
-}
-
-/// A command addressed to one shard. Fire-and-forget commands (`Feedback`,
-/// `FeedbackMany`, `Flush`) carry no reply channel; failures are counted in
-/// [`ShardMetrics::rejected`].
-pub(crate) enum Command {
-    Decide {
-        tenant: TenantId,
-        reply: SyncSender<Result<DecideReply, ServeError>>,
-    },
-    /// Serve every request of the batch (one tenant lookup per request entry,
-    /// `count` decisions each), filling `replies` **in place** — warm slots
-    /// are reused, so a steady-state batch allocates nothing — and send the
-    /// buffers back through the client's long-lived reply channel.
-    DecideMany {
-        tag: u64,
-        requests: Vec<DecideRequest>,
-        replies: Vec<Result<DecideReply, ServeError>>,
-        reply: SyncSender<DecideBatch>,
-    },
-    Feedback {
-        tenant: TenantId,
-        round: u64,
-        event: FeedbackEvent,
-    },
-    /// Ingest every event of the batch (identical per-event semantics to
-    /// `Feedback`, including flush thresholds), then hand the drained request
-    /// buffer back through `recycle` for reuse (dropped, never blocking the
-    /// shard, if the client's pool is full or gone).
-    FeedbackMany {
-        events: Vec<FeedbackRequest>,
-        recycle: SyncSender<Vec<FeedbackRequest>>,
-    },
-    Flush {
-        tenant: TenantId,
-    },
-    Create {
-        spec: Box<TenantSpec>,
-        reply: SyncSender<Result<(), ServeError>>,
-    },
-    Restore {
-        snapshot: Box<TenantSnapshot>,
-        reply: SyncSender<Result<(), ServeError>>,
-    },
-    Snapshot {
-        tenant: TenantId,
-        reply: SyncSender<Result<TenantSnapshot, ServeError>>,
-    },
-    Evict {
-        tenant: TenantId,
-        reply: SyncSender<Result<TenantSnapshot, ServeError>>,
-    },
-    Metrics {
-        reply: SyncSender<ShardReport>,
-    },
-    /// One tenant's learning snapshot (read-only: never flushes).
-    Telemetry {
-        tenant: TenantId,
-        reply: SyncSender<Result<TenantTelemetry, ServeError>>,
-    },
-    /// Learning snapshots of every hosted tenant, sorted by id.
-    TelemetryAll {
-        reply: SyncSender<Vec<TenantTelemetry>>,
-    },
-    /// Drains the shard's trace ring (oldest event first).
-    Trace {
-        reply: SyncSender<Vec<TraceEvent>>,
-    },
-    /// The shard store's counters (`None` when the shard has no store).
-    StoreMetrics {
-        reply: SyncSender<Option<StoreMetrics>>,
-    },
-    /// Flush every tenant's pending feedback; the ack doubles as a queue
-    /// barrier (everything enqueued before it has been processed).
-    Drain {
-        reply: SyncSender<()>,
-    },
-    Shutdown,
-}
 
 /// One shard's contribution to a [`crate::MetricsReport`].
 pub(crate) struct ShardReport {
@@ -161,594 +59,448 @@ impl ShardBoot {
     }
 }
 
-/// Rehydrates `id` from the disk tier if it lives there, and marks it
-/// most-recently-used if it is (now) resident. Returns `Ok(())` even when
-/// the tenant is simply unknown — the caller's own lookup reports that —
-/// and `Err` only for store/restore failures.
-fn ensure_resident(
-    tenants: &mut HashMap<TenantId, Tenant>,
-    durable: &mut Option<ShardDurability>,
-    trace: &mut TraceRing,
-    id: &str,
-) -> Result<(), ServeError> {
-    let Some(dur) = durable else {
-        return Ok(());
-    };
-    if !tenants.contains_key(id) && dur.evicted.contains(id) {
-        let stored = dur.store.read_evicted(id)?;
-        let tenant = durable::restore_tenant(stored)?;
-        dur.note_rehydrated(id);
-        trace.record(TraceKind::TenantRehydrated, id);
-        tenants.insert(tenant.id.clone(), tenant);
-    } else if tenants.contains_key(id) {
-        dur.touch(id);
-    }
-    Ok(())
+/// One shard's tenants, counters, trace ring and (optionally) durable store.
+pub(crate) struct Shard {
+    tenants: HashMap<TenantId, Tenant>,
+    durable: Option<ShardDurability>,
+    metrics: ShardMetrics,
+    trace: TraceRing,
+    /// Decides served by this shard, counted across all tenants and callers;
+    /// every [`STAGE_SAMPLE_EVERY`]-th one records its stage split.
+    decides: u64,
 }
 
-/// Rehydrates every disk-tier tenant (sorted by id, deterministically) ahead
-/// of a shard-wide command — metrics, telemetry, and drain cover *all*
-/// tenants, exactly like a store-less engine.
-fn rehydrate_all(
-    tenants: &mut HashMap<TenantId, Tenant>,
-    durable: &mut Option<ShardDurability>,
-    trace: &mut TraceRing,
-) {
-    let mut ids: Vec<TenantId> = match durable {
-        Some(dur) if !dur.evicted.is_empty() => dur.evicted.iter().cloned().collect(),
-        _ => return,
-    };
-    ids.sort();
-    for id in ids {
-        ensure_resident(tenants, durable, trace, &id)
-            .unwrap_or_else(|e| panic!("rehydrating tenant {id:?}: {e}"));
-    }
-}
-
-/// Re-forms the disk tier: while the resident set exceeds the cap, the
-/// least-recently-used tenant is captured to its evict file and dropped from
-/// RAM. Capture never flushes, so a capped engine's tenants stay bit-exact
-/// with an uncapped one's.
-fn enforce_cap(
-    tenants: &mut HashMap<TenantId, Tenant>,
-    durable: &mut Option<ShardDurability>,
-    trace: &mut TraceRing,
-) {
-    let Some(dur) = durable else {
-        return;
-    };
-    while dur.over_cap(tenants.len()) {
-        let Some(victim) = dur.lru_victim() else {
-            break;
+impl Shard {
+    /// A shard over its recovered state. Recovery brings every tenant back
+    /// resident, so the disk tier is re-formed before the first command.
+    pub(crate) fn new(trace_capacity: usize, boot: ShardBoot) -> Self {
+        let mut shard = Shard {
+            tenants: boot.tenants,
+            durable: boot.durable,
+            metrics: ShardMetrics::default(),
+            trace: TraceRing::new(trace_capacity),
+            decides: 0,
         };
-        let tenant = tenants.get(&victim).expect("LRU victim is resident");
-        let stored = durable::capture_tenant(tenant)
-            .unwrap_or_else(|e| panic!("evicting tenant {victim:?}: {e}"));
-        dur.store
-            .write_evicted(&stored)
-            .unwrap_or_else(|e| panic!("evicting tenant {victim:?}: {e}"));
-        tenants.remove(&victim);
-        dur.note_evicted(&victim);
-        trace.record(TraceKind::TenantEvicted, &victim);
+        shard.enforce_cap();
+        shard
     }
-}
 
-/// Appends one record to the shard's WAL (tracing it) and compacts when the
-/// schedule says so. See the module docs for why store failures panic here.
-fn log_record(
-    tenants: &HashMap<TenantId, Tenant>,
-    dur: &mut ShardDurability,
-    trace: &mut TraceRing,
-    record: &WalRecord,
-) {
-    dur.store
-        .append(record)
-        .unwrap_or_else(|e| panic!("wal append failed: {e}"));
-    trace.record(
-        TraceKind::WalAppended {
-            bytes: dur.store.wal_bytes(),
-        },
-        durable::record_tenant(record),
-    );
-    if dur.store.compaction_due() {
-        let mut ids: Vec<&TenantId> = tenants.keys().collect();
-        ids.sort();
-        let resident: Vec<_> = ids
-            .into_iter()
-            .map(|id| {
-                durable::capture_tenant(&tenants[id])
-                    .unwrap_or_else(|e| panic!("capturing tenant {id:?} for compaction: {e}"))
-            })
-            .collect();
-        let captured = (tenants.len() + dur.evicted.len()) as u32;
-        dur.store
-            .compact(resident)
-            .unwrap_or_else(|e| panic!("wal compaction failed: {e}"));
-        trace.record(TraceKind::SnapshotCompacted { tenants: captured }, "");
+    /// Runs one command: counts it in [`ShardMetrics::commands`], executes
+    /// it, then re-forms the disk tier.
+    pub(crate) fn execute<T>(&mut self, command: impl FnOnce(&mut Shard) -> T) -> T {
+        self.metrics.commands += 1;
+        let out = command(self);
+        self.enforce_cap();
+        out
     }
-}
 
-/// The shard actor loop. Runs until `Shutdown` arrives or every sender is
-/// dropped. `trace_capacity` sizes the shard's trace ring; `boot` carries
-/// the recovered tenants and durability state (empty for in-memory shards).
-pub(crate) fn shard_loop(commands: Receiver<Command>, trace_capacity: usize, boot: ShardBoot) {
-    let ShardBoot {
-        mut tenants,
-        mut durable,
-    } = boot;
-    let mut metrics = ShardMetrics::default();
-    let mut trace = TraceRing::new(trace_capacity);
-    // Recovery brings every tenant back resident; re-form the disk tier
-    // before the first command so the cap holds from the start.
-    enforce_cap(&mut tenants, &mut durable, &mut trace);
-    // Decides served by this shard, counted across all tenants and both
-    // transports; every STAGE_SAMPLE_EVERY-th one records its stage split.
-    let mut decides: u64 = 0;
-    while let Ok(command) = commands.recv() {
-        metrics.commands += 1;
-        match command {
-            Command::Decide { tenant, reply } => {
-                let start = Instant::now();
-                decides += 1;
-                let resident = ensure_resident(&mut tenants, &mut durable, &mut trace, &tenant);
-                let result = match resident {
-                    Err(e) => Err(e),
-                    Ok(()) if decides % STAGE_SAMPLE_EVERY == 0 => {
-                        let mut clock = StageClock::start();
-                        let found = tenants.get_mut(&tenant);
-                        clock.lap(DecideStage::Route, &mut metrics.stages);
-                        match found {
-                            Some(t) => {
-                                let mut r = DecideReply::blank();
-                                t.decide_into(&mut r, Some((&mut clock, &mut metrics.stages)))
-                                    .map(|()| r)
-                            }
-                            None => Err(ServeError::UnknownTenant(tenant.clone())),
-                        }
-                    }
-                    Ok(()) => match tenants.get_mut(&tenant) {
-                        Some(t) => t.decide(),
-                        None => Err(ServeError::UnknownTenant(tenant.clone())),
-                    },
-                };
-                if result.is_ok() {
-                    if let Some(dur) = &mut durable {
-                        log_record(
-                            &tenants,
-                            dur,
-                            &mut trace,
-                            &WalRecord::Decide {
-                                tenant: tenant.clone(),
-                                count: 1,
-                            },
-                        );
-                    }
-                }
-                metrics.decide_latency.record(start.elapsed());
-                // A disconnected caller is not a shard failure.
-                let _ = reply.send(result);
-            }
-            Command::DecideMany {
-                tag,
-                requests,
-                mut replies,
-                reply,
-            } => {
-                let total: usize = requests.iter().map(|r| r.count as usize).sum();
-                replies.truncate(total);
-                let mut slot = 0usize;
-                for request in &requests {
-                    let resident =
-                        ensure_resident(&mut tenants, &mut durable, &mut trace, &request.tenant);
-                    let mut served: u64 = 0;
-                    match resident {
-                        Ok(()) if tenants.contains_key(&request.tenant) => {
-                            let tenant = tenants
-                                .get_mut(&request.tenant)
-                                .expect("checked by the guard");
-                            for _ in 0..request.count {
-                                let start = Instant::now();
-                                decides += 1;
-                                if decides % STAGE_SAMPLE_EVERY == 0 {
-                                    // The per-entry tenant lookup is already
-                                    // done, so the Route lap is ~zero here —
-                                    // which is honest: batching is exactly
-                                    // what amortises routing away.
-                                    let mut clock = StageClock::start();
-                                    clock.lap(DecideStage::Route, &mut metrics.stages);
-                                    decide_into_slot(
-                                        tenant,
-                                        &mut replies,
-                                        slot,
-                                        Some((&mut clock, &mut metrics.stages)),
-                                    );
-                                } else {
-                                    decide_into_slot(tenant, &mut replies, slot, None);
-                                }
-                                if replies[slot].is_ok() {
-                                    served += 1;
-                                }
-                                metrics.decide_latency.record(start.elapsed());
-                                slot += 1;
-                            }
-                        }
-                        resident => {
-                            let err = match resident {
-                                Err(e) => e,
-                                Ok(()) => ServeError::UnknownTenant(request.tenant.clone()),
-                            };
-                            for _ in 0..request.count {
-                                // Record latency like the per-call path does
-                                // for unknown tenants, so both transports
-                                // produce the same shard metrics.
-                                let start = Instant::now();
-                                if slot == replies.len() {
-                                    replies.push(Err(err.clone()));
-                                } else {
-                                    replies[slot] = Err(err.clone());
-                                }
-                                metrics.decide_latency.record(start.elapsed());
-                                slot += 1;
-                            }
-                        }
-                    }
-                    if served > 0 {
-                        if let Some(dur) = &mut durable {
-                            log_record(
-                                &tenants,
-                                dur,
-                                &mut trace,
-                                &WalRecord::Decide {
-                                    tenant: request.tenant.clone(),
-                                    count: served,
-                                },
-                            );
-                        }
-                    }
-                }
-                // A disconnected caller is not a shard failure.
-                let _ = reply.send(DecideBatch {
-                    tag,
-                    requests,
-                    replies,
-                });
-            }
-            Command::Feedback {
-                tenant,
-                round,
-                event,
-            } => {
-                let start = Instant::now();
-                let resident = ensure_resident(&mut tenants, &mut durable, &mut trace, &tenant);
-                // Clone for the log before the tenant consumes the event;
-                // only taken on durable shards.
-                let logged = durable.as_ref().map(|_| event.clone());
-                let outcome = match (resident, tenants.get_mut(&tenant)) {
-                    (Ok(()), Some(t)) => Some(t.feedback(round, event)),
-                    _ => None,
-                };
-                match outcome {
-                    Some(Ok(flushed)) => {
-                        if flushed > 0 {
-                            trace.record(TraceKind::FlushApplied { events: flushed }, &tenant);
-                        }
-                        if let Some(dur) = &mut durable {
-                            log_record(
-                                &tenants,
-                                dur,
-                                &mut trace,
-                                &WalRecord::Feedback {
-                                    tenant: tenant.clone(),
-                                    round,
-                                    event: logged.expect("cloned on durable shards"),
-                                },
-                            );
-                        }
-                    }
-                    Some(Err(_)) | None => {
-                        metrics.rejected += 1;
-                        trace.record(TraceKind::FeedbackRejected, &tenant);
-                    }
-                }
-                metrics.feedback_latency.record(start.elapsed());
-            }
-            Command::FeedbackMany {
-                mut events,
-                recycle,
-            } => {
-                for request in events.iter_mut() {
+    /// Serves `slots.len()` consecutive decisions for `tenant`, filling the
+    /// slots **in place** — a warm `Ok` slot is refilled without allocating,
+    /// an `Err` slot is reset to a blank reply first. An unknown tenant (or a
+    /// failed rehydration) fills every slot with the error. One
+    /// `WalRecord::Decide` covers all the decisions served.
+    pub(crate) fn decide_many(
+        &mut self,
+        tenant: &str,
+        slots: &mut [Result<DecideReply, ServeError>],
+    ) {
+        // The sampled decide's Route lap covers the tenant lookup when it is
+        // the first of the call; later decisions reuse the lookup, so their
+        // Route lap is ~zero — which is honest: batching amortises routing.
+        let mut route_clock =
+            ((self.decides + 1) % STAGE_SAMPLE_EVERY == 0).then(StageClock::start);
+        let found = self.ensure_resident(tenant).and_then(|()| {
+            self.tenants
+                .get_mut(tenant)
+                .ok_or_else(|| ServeError::UnknownTenant(tenant.to_owned()))
+        });
+        let metrics = &mut self.metrics;
+        let mut served: u64 = 0;
+        match found {
+            Ok(t) => {
+                for slot in slots.iter_mut() {
                     let start = Instant::now();
-                    let resident =
-                        ensure_resident(&mut tenants, &mut durable, &mut trace, &request.tenant);
-                    // Move the event out, leaving a (heap-free) default
-                    // behind so the entry's tenant string can be recycled.
-                    let event = std::mem::take(&mut request.event);
-                    let logged = durable.as_ref().map(|_| event.clone());
-                    let outcome = match (resident, tenants.get_mut(&request.tenant)) {
-                        (Ok(()), Some(t)) => Some(t.feedback(request.round, event)),
-                        _ => None,
-                    };
-                    match outcome {
-                        Some(Ok(flushed)) => {
-                            if flushed > 0 {
-                                trace.record(
-                                    TraceKind::FlushApplied { events: flushed },
-                                    &request.tenant,
-                                );
-                            }
-                            if let Some(dur) = &mut durable {
-                                log_record(
-                                    &tenants,
-                                    dur,
-                                    &mut trace,
-                                    &WalRecord::Feedback {
-                                        tenant: request.tenant.clone(),
-                                        round: request.round,
-                                        event: logged.expect("cloned on durable shards"),
-                                    },
-                                );
-                            }
-                        }
-                        Some(Err(_)) | None => {
-                            metrics.rejected += 1;
-                            trace.record(TraceKind::FeedbackRejected, &request.tenant);
-                        }
+                    self.decides += 1;
+                    if self.decides % STAGE_SAMPLE_EVERY == 0 {
+                        let mut clock = route_clock.take().unwrap_or_else(StageClock::start);
+                        clock.lap(DecideStage::Route, &mut metrics.stages);
+                        decide_into_slot(t, slot, Some((&mut clock, &mut metrics.stages)));
+                    } else {
+                        decide_into_slot(t, slot, None);
                     }
-                    metrics.feedback_latency.record(start.elapsed());
-                }
-                // Hand the buffer back to the client's pool; a full or
-                // disconnected pool just drops it (never block the shard).
-                let _ = recycle.try_send(events);
-            }
-            Command::Flush { tenant } => {
-                let resident = ensure_resident(&mut tenants, &mut durable, &mut trace, &tenant);
-                let applied = match (resident, tenants.get_mut(&tenant)) {
-                    (Ok(()), Some(t)) => Some(t.flush_pending()),
-                    _ => None,
-                };
-                match applied {
-                    Some(applied) => {
-                        if applied > 0 {
-                            trace.record(TraceKind::FlushApplied { events: applied }, &tenant);
-                        }
-                        if let Some(dur) = &mut durable {
-                            log_record(
-                                &tenants,
-                                dur,
-                                &mut trace,
-                                &WalRecord::Flush {
-                                    tenant: tenant.clone(),
-                                },
-                            );
-                        }
+                    if slot.is_ok() {
+                        served += 1;
                     }
-                    None => metrics.rejected += 1,
+                    metrics.decide_latency.record(start.elapsed());
                 }
             }
-            Command::Create { spec, reply } => {
-                let taken = tenants.contains_key(spec.id())
-                    || durable.as_ref().is_some_and(|d| d.knows(spec.id()));
-                let result = if taken {
-                    Err(ServeError::DuplicateTenant(spec.id().to_owned()))
-                } else {
-                    Tenant::new(*spec).and_then(|tenant| {
-                        if let Some(dur) = &mut durable {
-                            // Admission check: a durable shard only hosts
-                            // tenants it can capture later (eviction and
-                            // compaction must be infallible once a tenant is
-                            // in). Errors as NotPersistable.
-                            durable::capture_tenant(&tenant)?;
-                            let record = WalRecord::Register {
-                                id: tenant.id.clone(),
-                                scenario: tenant.origin.clone().expect("capture checked origin"),
-                                flush_max_pending: tenant.flush.max_pending as u64,
-                                flush_before_decide: tenant.flush.flush_before_decide,
-                                auto_feedback: tenant.auto_feedback,
-                                echo_feedback: tenant.echo_feedback,
-                            };
-                            trace.record(TraceKind::TenantRegistered, &tenant.id);
-                            dur.touch(&tenant.id);
-                            tenants.insert(tenant.id.clone(), tenant);
-                            log_record(&tenants, dur, &mut trace, &record);
-                        } else {
-                            trace.record(TraceKind::TenantRegistered, &tenant.id);
-                            tenants.insert(tenant.id.clone(), tenant);
-                        }
-                        Ok(())
-                    })
-                };
-                let _ = reply.send(result);
-            }
-            Command::Restore { snapshot, reply } => {
-                let taken = tenants.contains_key(snapshot.id())
-                    || durable.as_ref().is_some_and(|d| d.knows(snapshot.id()));
-                let result = if taken {
-                    Err(ServeError::DuplicateTenant(snapshot.id().to_owned()))
-                } else {
-                    Tenant::from_snapshot(*snapshot).and_then(|tenant| {
-                        if let Some(dur) = &mut durable {
-                            // The restored tenant's history is not reachable
-                            // from this shard's log, so its complete durable
-                            // state is logged (and the same admission check
-                            // as Create applies).
-                            let stored = durable::capture_tenant(&tenant)?;
-                            trace.record(TraceKind::TenantRestored, &tenant.id);
-                            dur.touch(&tenant.id);
-                            tenants.insert(tenant.id.clone(), tenant);
-                            log_record(
-                                &tenants,
-                                dur,
-                                &mut trace,
-                                &WalRecord::Restore {
-                                    snapshot: Box::new(stored),
-                                },
-                            );
-                        } else {
-                            trace.record(TraceKind::TenantRestored, &tenant.id);
-                            tenants.insert(tenant.id.clone(), tenant);
-                        }
-                        Ok(())
-                    })
-                };
-                let _ = reply.send(result);
-            }
-            Command::Snapshot { tenant, reply } => {
-                let resident = ensure_resident(&mut tenants, &mut durable, &mut trace, &tenant);
-                let result = match resident {
-                    Err(e) => Err(e),
-                    Ok(()) => match tenants.get_mut(&tenant) {
-                        Some(t) => {
-                            trace.record(TraceKind::SnapshotTaken, &tenant);
-                            Ok(t.snapshot())
-                        }
-                        None => Err(ServeError::UnknownTenant(tenant.clone())),
-                    },
-                };
-                if result.is_ok() {
-                    // `Tenant::snapshot` flushed pending feedback; mirror
-                    // that mutation in the log so replay flushes too.
-                    if let Some(dur) = &mut durable {
-                        log_record(
-                            &tenants,
-                            dur,
-                            &mut trace,
-                            &WalRecord::Flush {
-                                tenant: tenant.clone(),
-                            },
-                        );
-                    }
+            Err(err) => {
+                for slot in slots.iter_mut() {
+                    // Failed decides record a latency too, so every decide
+                    // attempt shows in the histogram.
+                    let start = Instant::now();
+                    *slot = Err(err.clone());
+                    metrics.decide_latency.record(start.elapsed());
                 }
-                let _ = reply.send(result);
-            }
-            Command::Evict { tenant, reply } => {
-                let resident = ensure_resident(&mut tenants, &mut durable, &mut trace, &tenant);
-                let result = match resident {
-                    Err(e) => Err(e),
-                    Ok(()) => match tenants.remove(&tenant) {
-                        Some(mut t) => {
-                            trace.record(TraceKind::TenantEvicted, &tenant);
-                            Ok(t.snapshot())
-                        }
-                        None => Err(ServeError::UnknownTenant(tenant.clone())),
-                    },
-                };
-                if result.is_ok() {
-                    if let Some(dur) = &mut durable {
-                        dur.forget(&tenant);
-                        log_record(
-                            &tenants,
-                            dur,
-                            &mut trace,
-                            &WalRecord::Removed {
-                                tenant: tenant.clone(),
-                            },
-                        );
-                    }
-                }
-                let _ = reply.send(result);
-            }
-            Command::Metrics { reply } => {
-                // Shard-wide reads cover the disk tier too: rehydrate first
-                // so a capped engine reports exactly what an uncapped one
-                // would (the cap is re-enforced after the command).
-                rehydrate_all(&mut tenants, &mut durable, &mut trace);
-                let mut list: Vec<(TenantId, TenantMetrics)> = tenants
-                    .iter()
-                    .map(|(id, t)| (id.clone(), t.metrics.clone()))
-                    .collect();
-                list.sort_by(|a, b| a.0.cmp(&b.0));
-                let _ = reply.send(ShardReport {
-                    metrics: metrics.clone(),
-                    tenants: list,
-                });
-            }
-            Command::Telemetry { tenant, reply } => {
-                let resident = ensure_resident(&mut tenants, &mut durable, &mut trace, &tenant);
-                let result = match resident {
-                    Err(e) => Err(e),
-                    Ok(()) => match tenants.get(&tenant) {
-                        Some(t) => Ok(t.telemetry()),
-                        None => Err(ServeError::UnknownTenant(tenant)),
-                    },
-                };
-                let _ = reply.send(result);
-            }
-            Command::TelemetryAll { reply } => {
-                rehydrate_all(&mut tenants, &mut durable, &mut trace);
-                let mut list: Vec<TenantTelemetry> =
-                    tenants.values().map(Tenant::telemetry).collect();
-                list.sort_by(|a, b| a.id.cmp(&b.id));
-                let _ = reply.send(list);
-            }
-            Command::Trace { reply } => {
-                let mut out = Vec::new();
-                trace.drain_into(&mut out);
-                let _ = reply.send(out);
-            }
-            Command::StoreMetrics { reply } => {
-                let _ = reply.send(durable.as_ref().map(|d| *d.store.metrics()));
-            }
-            Command::Drain { reply } => {
-                // Drain flushes *every* tenant, disk tier included, so a
-                // capped engine's policies end up bit-exact with an uncapped
-                // one's.
-                rehydrate_all(&mut tenants, &mut durable, &mut trace);
-                // Flush in sorted id order so any traced flush events land in
-                // a deterministic order (HashMap iteration order is not).
-                let mut ids: Vec<TenantId> = tenants.keys().cloned().collect();
-                ids.sort();
-                for id in ids {
-                    if let Some(tenant) = tenants.get_mut(&id) {
-                        let applied = tenant.flush_pending();
-                        if applied > 0 {
-                            trace.record(TraceKind::FlushApplied { events: applied }, &id);
-                        }
-                    }
-                }
-                if let Some(dur) = &mut durable {
-                    log_record(&tenants, dur, &mut trace, &WalRecord::Drain);
-                    // The drain ack is a barrier; make it a durability point
-                    // too, regardless of the fsync batching schedule.
-                    dur.store
-                        .sync()
-                        .unwrap_or_else(|e| panic!("wal sync failed: {e}"));
-                }
-                let _ = reply.send(());
-            }
-            Command::Shutdown => {
-                if let Some(dur) = &mut durable {
-                    dur.store
-                        .sync()
-                        .unwrap_or_else(|e| panic!("wal sync failed: {e}"));
-                }
-                break;
             }
         }
-        enforce_cap(&mut tenants, &mut durable, &mut trace);
+        if served > 0 && self.durable.is_some() {
+            self.log(&WalRecord::Decide {
+                tenant: tenant.to_owned(),
+                count: served,
+            });
+        }
+    }
+
+    /// Ingests one feedback event for `tenant`'s round `round`. Feedback for
+    /// an unknown tenant, of the wrong kind, or for an unserved round is
+    /// dropped and counted in [`ShardMetrics::rejected`].
+    pub(crate) fn feedback(&mut self, tenant: &str, round: u64, event: FeedbackEvent) {
+        let start = Instant::now();
+        let resident = self.ensure_resident(tenant);
+        // Clone for the log before the tenant consumes the event; only taken
+        // on durable shards.
+        let logged = self.durable.as_ref().map(|_| event.clone());
+        let outcome = match (resident, self.tenants.get_mut(tenant)) {
+            (Ok(()), Some(t)) => t.feedback(round, event).ok(),
+            _ => None,
+        };
+        match outcome {
+            Some(flushed) => {
+                if flushed > 0 {
+                    self.trace
+                        .record(TraceKind::FlushApplied { events: flushed }, tenant);
+                }
+                if let Some(event) = logged {
+                    self.log(&WalRecord::Feedback {
+                        tenant: tenant.to_owned(),
+                        round,
+                        event,
+                    });
+                }
+            }
+            None => {
+                self.metrics.rejected += 1;
+                self.trace.record(TraceKind::FeedbackRejected, tenant);
+            }
+        }
+        self.metrics.feedback_latency.record(start.elapsed());
+    }
+
+    /// Applies `tenant`'s pending feedback now.
+    pub(crate) fn flush(&mut self, tenant: &str) {
+        let resident = self.ensure_resident(tenant);
+        let applied = match (resident, self.tenants.get_mut(tenant)) {
+            (Ok(()), Some(t)) => t.flush_pending(),
+            _ => {
+                self.metrics.rejected += 1;
+                return;
+            }
+        };
+        if applied > 0 {
+            self.trace
+                .record(TraceKind::FlushApplied { events: applied }, tenant);
+        }
+        if self.durable.is_some() {
+            self.log(&WalRecord::Flush {
+                tenant: tenant.to_owned(),
+            });
+        }
+    }
+
+    /// Whether `id` is taken on this shard, resident or on disk.
+    fn hosts(&self, id: &str) -> bool {
+        self.tenants.contains_key(id) || self.durable.as_ref().is_some_and(|d| d.knows(id))
+    }
+
+    /// Registers a new tenant.
+    pub(crate) fn create(&mut self, spec: TenantSpec) -> Result<(), ServeError> {
+        if self.hosts(spec.id()) {
+            return Err(ServeError::DuplicateTenant(spec.id().to_owned()));
+        }
+        let tenant = Tenant::new(spec)?;
+        let record = match &self.durable {
+            Some(_) => {
+                // Admission check: a durable shard only hosts tenants it can
+                // capture later (eviction and compaction must be infallible
+                // once a tenant is in). Errors as NotPersistable.
+                durable::capture_tenant(&tenant)?;
+                Some(WalRecord::Register {
+                    id: tenant.id.clone(),
+                    scenario: tenant.origin.clone().expect("capture checked origin"),
+                    flush_max_pending: tenant.flush.max_pending as u64,
+                    flush_before_decide: tenant.flush.flush_before_decide,
+                    auto_feedback: tenant.auto_feedback,
+                    echo_feedback: tenant.echo_feedback,
+                })
+            }
+            None => None,
+        };
+        self.trace.record(TraceKind::TenantRegistered, &tenant.id);
+        self.admit(tenant, record);
+        Ok(())
+    }
+
+    /// Recreates a tenant from a checkpoint.
+    pub(crate) fn restore(&mut self, snapshot: TenantSnapshot) -> Result<(), ServeError> {
+        if self.hosts(snapshot.id()) {
+            return Err(ServeError::DuplicateTenant(snapshot.id().to_owned()));
+        }
+        let tenant = Tenant::from_snapshot(snapshot)?;
+        let record = match &self.durable {
+            // The restored tenant's history is not reachable from this
+            // shard's log, so its complete durable state is logged (and the
+            // same admission check as `create` applies).
+            Some(_) => Some(WalRecord::Restore {
+                snapshot: Box::new(durable::capture_tenant(&tenant)?),
+            }),
+            None => None,
+        };
+        self.trace.record(TraceKind::TenantRestored, &tenant.id);
+        self.admit(tenant, record);
+        Ok(())
+    }
+
+    /// Makes a new tenant resident and logs its registration record.
+    fn admit(&mut self, tenant: Tenant, record: Option<WalRecord>) {
+        if let Some(dur) = &mut self.durable {
+            dur.touch(&tenant.id);
+        }
+        self.tenants.insert(tenant.id.clone(), tenant);
+        if let Some(record) = record {
+            self.log(&record);
+        }
+    }
+
+    /// Checkpoints `tenant` (flushing its pending feedback) without removing
+    /// it.
+    pub(crate) fn snapshot(&mut self, tenant: &str) -> Result<TenantSnapshot, ServeError> {
+        self.ensure_resident(tenant)?;
+        let t = self
+            .tenants
+            .get_mut(tenant)
+            .ok_or_else(|| ServeError::UnknownTenant(tenant.to_owned()))?;
+        let snapshot = t.snapshot();
+        self.trace.record(TraceKind::SnapshotTaken, tenant);
+        // `Tenant::snapshot` flushed pending feedback; mirror that mutation
+        // in the log so replay flushes too.
+        if self.durable.is_some() {
+            self.log(&WalRecord::Flush {
+                tenant: tenant.to_owned(),
+            });
+        }
+        Ok(snapshot)
+    }
+
+    /// Removes `tenant`, returning its final checkpoint.
+    pub(crate) fn evict(&mut self, tenant: &str) -> Result<TenantSnapshot, ServeError> {
+        self.ensure_resident(tenant)?;
+        let mut t = self
+            .tenants
+            .remove(tenant)
+            .ok_or_else(|| ServeError::UnknownTenant(tenant.to_owned()))?;
+        self.trace.record(TraceKind::TenantEvicted, tenant);
+        let snapshot = t.snapshot();
+        if let Some(dur) = &mut self.durable {
+            dur.forget(tenant);
+            self.log(&WalRecord::Removed {
+                tenant: tenant.to_owned(),
+            });
+        }
+        Ok(snapshot)
+    }
+
+    /// The shard's counters plus every tenant's, sorted by id. Shard-wide
+    /// reads cover the disk tier too: it is rehydrated first so a capped
+    /// engine reports exactly what an uncapped one would (the cap is
+    /// re-enforced after the command).
+    pub(crate) fn report(&mut self) -> ShardReport {
+        self.rehydrate_all();
+        let mut tenants: Vec<(TenantId, TenantMetrics)> = self
+            .tenants
+            .iter()
+            .map(|(id, t)| (id.clone(), t.metrics.clone()))
+            .collect();
+        tenants.sort_by(|a, b| a.0.cmp(&b.0));
+        ShardReport {
+            metrics: self.metrics.clone(),
+            tenants,
+        }
+    }
+
+    /// One tenant's learning snapshot (read-only: never flushes).
+    pub(crate) fn telemetry(&mut self, tenant: &str) -> Result<TenantTelemetry, ServeError> {
+        self.ensure_resident(tenant)?;
+        self.tenants
+            .get(tenant)
+            .map(Tenant::telemetry)
+            .ok_or_else(|| ServeError::UnknownTenant(tenant.to_owned()))
+    }
+
+    /// Learning snapshots of every hosted tenant, sorted by id.
+    pub(crate) fn telemetry_all(&mut self) -> Vec<TenantTelemetry> {
+        self.rehydrate_all();
+        let mut list: Vec<TenantTelemetry> = self.tenants.values().map(Tenant::telemetry).collect();
+        list.sort_by(|a, b| a.id.cmp(&b.id));
+        list
+    }
+
+    /// Drains the shard's trace ring (oldest event first).
+    pub(crate) fn drain_trace(&mut self) -> Vec<TraceEvent> {
+        let mut out = Vec::new();
+        self.trace.drain_into(&mut out);
+        out
+    }
+
+    /// The shard store's counters (`None` when the shard has no store).
+    pub(crate) fn store_metrics(&self) -> Option<StoreMetrics> {
+        self.durable.as_ref().map(|d| *d.store.metrics())
+    }
+
+    /// Flushes every tenant's pending feedback, disk tier included, so a
+    /// capped engine's policies end up bit-exact with an uncapped one's. On a
+    /// durable shard the drain is also a durability point, regardless of the
+    /// fsync batching schedule.
+    pub(crate) fn drain(&mut self) {
+        self.rehydrate_all();
+        // Flush in sorted id order so any traced flush events land in a
+        // deterministic order (HashMap iteration order is not).
+        let mut ids: Vec<TenantId> = self.tenants.keys().cloned().collect();
+        ids.sort();
+        for id in ids {
+            if let Some(tenant) = self.tenants.get_mut(&id) {
+                let applied = tenant.flush_pending();
+                if applied > 0 {
+                    self.trace
+                        .record(TraceKind::FlushApplied { events: applied }, &id);
+                }
+            }
+        }
+        if self.durable.is_some() {
+            self.log(&WalRecord::Drain);
+            self.sync();
+        }
+    }
+
+    /// Forces the shard's WAL to disk (a no-op without a store).
+    pub(crate) fn sync(&mut self) {
+        if let Some(dur) = &mut self.durable {
+            dur.store
+                .sync()
+                .unwrap_or_else(|e| panic!("wal sync failed: {e}"));
+        }
+    }
+
+    /// Rehydrates `id` from the disk tier if it lives there, and marks it
+    /// most-recently-used if it is (now) resident. Returns `Ok(())` even when
+    /// the tenant is simply unknown — the caller's own lookup reports that —
+    /// and `Err` only for store/restore failures.
+    fn ensure_resident(&mut self, id: &str) -> Result<(), ServeError> {
+        let Some(dur) = &mut self.durable else {
+            return Ok(());
+        };
+        if self.tenants.contains_key(id) {
+            dur.touch(id);
+        } else if dur.evicted.contains(id) {
+            let stored = dur.store.read_evicted(id)?;
+            let tenant = durable::restore_tenant(stored)?;
+            dur.note_rehydrated(id);
+            self.trace.record(TraceKind::TenantRehydrated, id);
+            self.tenants.insert(tenant.id.clone(), tenant);
+        }
+        Ok(())
+    }
+
+    /// Rehydrates every disk-tier tenant (sorted by id, deterministically)
+    /// ahead of a shard-wide command — metrics, telemetry, and drain cover
+    /// *all* tenants, exactly like a store-less engine.
+    fn rehydrate_all(&mut self) {
+        let mut ids: Vec<TenantId> = match &self.durable {
+            Some(dur) if !dur.evicted.is_empty() => dur.evicted.iter().cloned().collect(),
+            _ => return,
+        };
+        ids.sort();
+        for id in ids {
+            self.ensure_resident(&id)
+                .unwrap_or_else(|e| panic!("rehydrating tenant {id:?}: {e}"));
+        }
+    }
+
+    /// Re-forms the disk tier: while the resident set exceeds the cap, the
+    /// least-recently-used tenant is captured to its evict file and dropped
+    /// from RAM. Capture never flushes, so a capped engine's tenants stay
+    /// bit-exact with an uncapped one's.
+    fn enforce_cap(&mut self) {
+        let Some(dur) = &mut self.durable else {
+            return;
+        };
+        while dur.over_cap(self.tenants.len()) {
+            let Some(victim) = dur.lru_victim() else {
+                break;
+            };
+            let tenant = self.tenants.get(&victim).expect("LRU victim is resident");
+            let stored = durable::capture_tenant(tenant)
+                .unwrap_or_else(|e| panic!("evicting tenant {victim:?}: {e}"));
+            dur.store
+                .write_evicted(&stored)
+                .unwrap_or_else(|e| panic!("evicting tenant {victim:?}: {e}"));
+            self.tenants.remove(&victim);
+            dur.note_evicted(&victim);
+            self.trace.record(TraceKind::TenantEvicted, &victim);
+        }
+    }
+
+    /// Appends one record to the shard's WAL (tracing it) and compacts when
+    /// the schedule says so; a no-op without a store. See the module docs for
+    /// why store failures panic here.
+    fn log(&mut self, record: &WalRecord) {
+        let Some(dur) = &mut self.durable else {
+            return;
+        };
+        dur.store
+            .append(record)
+            .unwrap_or_else(|e| panic!("wal append failed: {e}"));
+        self.trace.record(
+            TraceKind::WalAppended {
+                bytes: dur.store.wal_bytes(),
+            },
+            durable::record_tenant(record),
+        );
+        if dur.store.compaction_due() {
+            let mut ids: Vec<&TenantId> = self.tenants.keys().collect();
+            ids.sort();
+            let resident: Vec<_> = ids
+                .into_iter()
+                .map(|id| {
+                    durable::capture_tenant(&self.tenants[id])
+                        .unwrap_or_else(|e| panic!("capturing tenant {id:?} for compaction: {e}"))
+                })
+                .collect();
+            let captured = (self.tenants.len() + dur.evicted.len()) as u32;
+            dur.store
+                .compact(resident)
+                .unwrap_or_else(|e| panic!("wal compaction failed: {e}"));
+            self.trace
+                .record(TraceKind::SnapshotCompacted { tenants: captured }, "");
+        }
     }
 }
 
-/// Serves one decision into reply slot `slot`, growing the buffer by one if
-/// the batch is larger than the recycled buffer. A warm `Ok` slot is filled
-/// strictly in place (no allocation when its buffers fit); an `Err` slot is
-/// reset to a blank reply first.
+/// Serves one decision into `slot`. A warm `Ok` slot is filled strictly in
+/// place (no allocation when its buffers fit); an `Err` slot is reset to a
+/// blank reply first.
 fn decide_into_slot(
     tenant: &mut Tenant,
-    replies: &mut Vec<Result<DecideReply, ServeError>>,
-    slot: usize,
+    slot: &mut Result<DecideReply, ServeError>,
     stages: Option<(&mut StageClock, &mut netband_obs::StageTimings)>,
 ) {
-    if slot == replies.len() {
-        replies.push(Ok(DecideReply::blank()));
+    if slot.is_err() {
+        *slot = Ok(DecideReply::blank());
     }
-    let entry = &mut replies[slot];
-    if entry.is_err() {
-        *entry = Ok(DecideReply::blank());
-    }
-    let Ok(reply) = entry else {
+    let Ok(reply) = slot else {
         unreachable!("slot was just reset to Ok");
     };
     if let Err(e) = tenant.decide_into(reply, stages) {
-        *entry = Err(e);
+        *slot = Err(e);
     }
 }

@@ -323,7 +323,7 @@ fn set_combinatorial_event(
     }
 }
 
-/// One hosted experiment, owned by a single shard thread.
+/// One hosted experiment, owned by a single shard.
 pub(crate) struct Tenant {
     pub(crate) id: TenantId,
     pub(crate) bandit: NetworkedBandit,

@@ -8,7 +8,7 @@
 //! that document into a [`FleetSpec`], boots a 4-shard [`ServeEngine`] from
 //! it with one `register_fleet` call, and then drives every tenant from 8
 //! client threads over the **batched client API** ([`ServeClient`]): each
-//! window of rounds is one `decide_many` round-trip, and the revealed
+//! window of rounds is one `decide_many` call, and the revealed
 //! feedback travels back late, in batches, and in reverse round order via
 //! `feedback_many`. At the end one tenant is checkpointed, moved to a
 //! brand-new engine, and resumed, and the engine's metrics report is printed.
@@ -35,10 +35,9 @@ fn rounds() -> usize {
 }
 
 /// One client session against one tenant over the batched API: each window of
-/// rounds is one `decide_many` round-trip, and its revealed feedback goes
-/// back — in reverse round order — as one `feedback_many` command. The
-/// client's reply buffers are recycled across windows, so the steady state
-/// allocates nothing.
+/// rounds is one `decide_many` call, and its revealed feedback goes back —
+/// in reverse round order — as one `feedback_many` call. The reply buffer is
+/// reused across windows, so the steady state allocates nothing.
 fn drive(client: &mut ServeClient<'_>, tenant: &str, rounds: usize) {
     let mut replies = Vec::new();
     let mut remaining = rounds;

@@ -275,11 +275,11 @@ mod durability {
         }
     }
 
-    /// Simulates `kill -9` at a command boundary: waits until everything
-    /// enqueued has been executed (the metrics call is a queue barrier that
-    /// writes nothing durable), then abandons the engine — no shutdown, no
-    /// drain, no final fsync. Threads and file handles are leaked exactly as
-    /// a killed process would leave them.
+    /// Simulates `kill -9` at a command boundary: every call has returned (a
+    /// last metrics call, which writes nothing durable, confirms the engine
+    /// is live), then the engine is abandoned — no shutdown, no drain, no
+    /// final fsync. File handles are leaked exactly as a killed process
+    /// would leave them.
     fn kill(engine: ServeEngine) {
         engine.metrics().expect("barrier before the crash");
         std::mem::forget(engine);
@@ -558,5 +558,76 @@ mod durability {
             "in-memory engines must not expose netband_store_* families"
         );
         in_memory.shutdown();
+    }
+
+    /// Two tenant ids that route to different shards of a 2-shard engine:
+    /// `(on shard 0, on shard 1)`.
+    fn ids_on_both_shards(engine: &ServeEngine) -> (String, String) {
+        let ids: Vec<String> = (0..).map(|i| format!("tenant-{i}")).take(16).collect();
+        let on = |shard| {
+            ids.iter()
+                .find(|id| engine.shard_of(id) == shard)
+                .expect("16 ids cover both shards")
+                .clone()
+        };
+        (on(0), on(1))
+    }
+
+    /// A store failure is fatal to its shard, not to the engine. Deleting a
+    /// shard's directory mid-run makes its next compaction fail: the call
+    /// that hit it and every later call for that shard answer `EngineDown`,
+    /// while the other shard keeps serving bit-exactly and the engine still
+    /// shuts down cleanly. No fault hook is involved: the failure is a real
+    /// I/O error inside the store.
+    #[test]
+    fn a_failed_compaction_takes_down_only_its_shard() {
+        let dir = DataDir::new("fatal");
+        let engine = ServeEngine::start(
+            EngineConfig::new(2).with_store(StoreConfig::new(&dir.0).with_compact_every(8)),
+        );
+        let (fixture, spec) = golden_specs().remove(0);
+        let (doomed, survivor) = ids_on_both_shards(&engine);
+        for id in [&doomed, &survivor] {
+            engine
+                .register_tenant_spec(&RegisterTenantSpec::new(id.as_str(), spec.clone()))
+                .expect("register from spec");
+        }
+        serve_rounds(&engine, &doomed, 2);
+        serve_rounds(&engine, &survivor, 2);
+
+        let shard = engine.shard_of(&doomed);
+        std::fs::remove_dir_all(dir.0.join(format!("shard-{shard}"))).expect("delete shard dir");
+        // Appends still reach the open (now unlinked) log; the compaction
+        // that follows within eight records cannot create its snapshot.
+        let mut failed = None;
+        for round in 0..16 {
+            if let Err(e) = engine.decide(&doomed) {
+                failed = Some((round, e));
+                break;
+            }
+        }
+        let (round, err) = failed.expect("the compaction failed within 16 decides");
+        assert_eq!(err, ServeError::EngineDown, "after {round} decides");
+        assert_eq!(engine.decide(&doomed), Err(ServeError::EngineDown));
+        assert_eq!(
+            engine.feedback(&doomed, 1, FeedbackEvent::default()),
+            Err(ServeError::EngineDown)
+        );
+        assert_eq!(engine.telemetry(&doomed), Err(ServeError::EngineDown));
+        let mut client = engine.client();
+        let mut out = Vec::new();
+        assert_eq!(
+            client.try_decide_many(&doomed, 2, &mut out),
+            Err(ServeError::EngineDown)
+        );
+        // Engine-wide reads include the dead shard, so they fail too.
+        assert_eq!(engine.metrics().unwrap_err(), ServeError::EngineDown);
+
+        // The other shard is untouched: its tenant finishes the golden
+        // horizon and lands on the committed trajectory.
+        serve_rounds(&engine, &survivor, spec.horizon - 2);
+        let snapshot = engine.evict_tenant(&survivor).expect("evict survivor");
+        assert_golden(fixture, &snapshot.run_result());
+        engine.shutdown();
     }
 }

@@ -250,8 +250,8 @@ fn misuse_draws_typed_error_frames_and_keeps_the_connection_open() {
     let err = client.feedback_many(fixture, window).unwrap_err();
     expect_code(&err, WireErrorCode::TooLarge);
 
-    // Feedback ingestion is fire-and-forget: an event quoting a round the
-    // tenant never served is *accepted* on the wire, dropped by the shard,
+    // Feedback ingestion reports no per-event errors: an event quoting a
+    // round the tenant never served is *accepted* on the wire, dropped by the shard,
     // and surfaces in the metrics frame's rejected counter.
     let accepted = client
         .feedback_many(
@@ -374,8 +374,9 @@ fn overloaded_shards_answer_with_a_retryable_error_frame() {
     let (fixture, spec) = golden_specs().remove(0);
     client.register_tenant(fixture, spec).expect("register");
 
-    // Wedge the only shard: its worker is blocked and its queue is full, so
-    // the server's try_* admission paths must reject deterministically.
+    // Wedge the only shard: its lock is held and its admission count is
+    // full, so the server's try_* admission paths must reject
+    // deterministically.
     let wedge = server.engine().wedge_shard(0);
 
     let err = client.decide_many(fixture, 4).unwrap_err();
@@ -403,26 +404,80 @@ fn overloaded_shards_answer_with_a_retryable_error_frame() {
     assert_eq!(replies.len(), 4);
     for reply in &replies {
         let event = reply.feedback.clone().expect("echoed feedback");
-        // Feedback admission is asynchronous (the shard drains the 1-slot
-        // queue behind the accepted reply), so back-to-back windows can
-        // legitimately draw a retryable overloaded frame — retry like a
-        // real client would.
-        let accepted = loop {
-            match client.feedback_many(
+        // A call leaves the shard's admission count before its response
+        // frame is written, so back-to-back windows are never refused.
+        let accepted = client
+            .feedback_many(
                 fixture,
                 vec![WireFeedback {
                     round: reply.round,
-                    event: event.clone(),
+                    event,
                 }],
-            ) {
-                Ok(accepted) => break accepted,
-                Err(err) if err.is_overloaded() => std::thread::yield_now(),
-                Err(err) => panic!("feedback after release: {err}"),
-            }
-        };
+            )
+            .expect("feedback after release");
         assert_eq!(accepted, 1);
     }
     server.shutdown();
+}
+
+/// A shard whose store fails is down, and says so on the wire: the request
+/// that hit the failure and every later one for that shard draw an
+/// `engine_down` error frame, while the same connection keeps serving the
+/// other shard. The failure is real: the shard's directory is deleted, so
+/// its next compaction cannot write a snapshot.
+#[test]
+fn a_failed_shard_answers_engine_down_frames_and_the_connection_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("netband_net_down_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let engine = ServeEngine::start(
+        EngineConfig::new(2).with_store(StoreConfig::new(&dir).with_compact_every(8)),
+    );
+    let ids: Vec<String> = (0..16).map(|i| format!("tenant-{i}")).collect();
+    let on = |shard| {
+        ids.iter()
+            .find(|id| engine.shard_of(id) == shard)
+            .expect("16 ids cover both shards")
+            .clone()
+    };
+    let (doomed, survivor) = (on(0), on(1));
+    let (server, mut client) = loopback(engine, ServerConfig::default());
+    let (_, spec) = golden_specs().remove(0);
+    for id in [&doomed, &survivor] {
+        client
+            .register_tenant(id.as_str(), spec.clone())
+            .expect("register");
+    }
+
+    std::fs::remove_dir_all(dir.join("shard-0")).expect("delete shard dir");
+    let is_engine_down = |e: &NetError| {
+        matches!(
+            e,
+            NetError::Server {
+                code: WireErrorCode::EngineDown,
+                ..
+            }
+        )
+    };
+    let mut failed = None;
+    for _ in 0..16 {
+        if let Err(e) = client.decide_many(&doomed, 1) {
+            failed = Some(e);
+            break;
+        }
+    }
+    let err = failed.expect("the compaction failed within 16 decides");
+    assert!(is_engine_down(&err), "expected engine_down, got {err}");
+    let err = client.decide_many(&doomed, 4).unwrap_err();
+    assert!(is_engine_down(&err), "expected engine_down, got {err}");
+
+    // Same connection, other shard: still served.
+    let replies = client
+        .decide_many(&survivor, 4)
+        .expect("other shard serves");
+    assert_eq!(replies.len(), 4);
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ----- wire documents carry env payloads losslessly ------------------------

@@ -194,7 +194,7 @@ fn lifecycle_errors_are_reported() {
     engine.shutdown();
 }
 
-/// Fire-and-forget feedback cannot return an error; misdirected events are
+/// Feedback calls return no per-event errors; misdirected events are
 /// counted in the shard's `rejected` metric instead of vanishing silently.
 #[test]
 fn misdirected_feedback_is_counted_not_lost() {

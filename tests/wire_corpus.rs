@@ -8,7 +8,8 @@
 //! * decode → encode reproduces every committed document byte for byte;
 //! * encoding the same values today still produces the committed bytes;
 //! * no byte sequence — arbitrary, or a mutated corpus or WAL document —
-//!   makes a wire, store or scenario decoder panic.
+//!   makes a wire, store or scenario decoder panic, and no byte stream makes
+//!   the frame reader panic or allocate past the frame cap.
 //!
 //! The `decisions` / `feedback_many` windows come from the four DFL presets
 //! at the sizes of `examples/fleet.json`, served by an in-process engine, so
@@ -21,6 +22,7 @@ use std::path::PathBuf;
 use netband::core::PolicyState;
 use netband::env::TenantMetrics;
 use netband::net::proto::telemetry_to_wire;
+use netband::net::{read_frame, FrameError, MAX_FRAME_BYTES};
 use netband::prelude::*;
 use netband::spec::presets;
 use netband::spec::{ShardSnapshot, StoredTenantSnapshot, WalRecord, STORE_VERSION};
@@ -509,6 +511,63 @@ fn json_alphabet(codes: Vec<usize>) -> String {
         .collect()
 }
 
+/// A reader over `bytes` that hands out at most `chunk` bytes per read and
+/// records the widest buffer it was asked to fill. `read_frame` reads a
+/// payload straight into the buffer it allocated for it, so `widest` is the
+/// largest payload allocation the input caused.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    chunk: usize,
+    widest: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.widest = self.widest.max(buf.len());
+        let n = buf.len().min(self.chunk).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Reads frames from `bytes` with the server's cap until the stream ends or
+/// a frame is refused, feeding every frame to every decoder. Returns the
+/// widest payload buffer the reads asked for.
+fn read_frames(bytes: &[u8], chunk: usize) -> usize {
+    let mut reader = Trickle {
+        bytes,
+        chunk: chunk.max(1),
+        widest: 0,
+    };
+    while let Ok(Some(text)) = read_frame(&mut reader, MAX_FRAME_BYTES) {
+        decode_all(&text);
+    }
+    reader.widest
+}
+
+/// A length prefix claiming ~4 GiB is refused from the prefix alone: no
+/// payload buffer is allocated, and the error names the claimed length.
+#[test]
+fn a_four_gib_length_prefix_is_refused_before_allocating() {
+    for claimed in [u32::MAX, u32::MAX - 1, (MAX_FRAME_BYTES + 1) as u32] {
+        let mut bytes = claimed.to_be_bytes().to_vec();
+        bytes.extend_from_slice(br#"{"type":"metrics"}"#);
+        let mut reader = Trickle {
+            bytes: &bytes,
+            chunk: 3,
+            widest: 0,
+        };
+        match read_frame(&mut reader, MAX_FRAME_BYTES) {
+            Err(FrameError::TooLarge { len, max }) => {
+                assert_eq!((len, max), (claimed as usize, MAX_FRAME_BYTES));
+            }
+            other => panic!("expected too_large for {claimed}, got {other:?}"),
+        }
+        assert_eq!(reader.widest, 4, "only the prefix was read");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -545,5 +604,49 @@ proptest! {
             mutated = splice(&mutated, at, cut / 2, &splices[(insert + 5) % splices.len()]);
         }
         decode_all(&mutated);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_frame_reader(
+        bytes in collection::vec(0u32..256, 0..96),
+        chunk in 1usize..9,
+    ) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        prop_assert!(read_frames(&bytes, chunk) <= MAX_FRAME_BYTES);
+    }
+
+    #[test]
+    fn framed_noise_never_panics_the_frame_reader(
+        frames in collection::vec((0u32..80, collection::vec(0usize..64, 0..64)), 0..4),
+        chunk in 1usize..9,
+    ) {
+        // Length prefixes near the payload sizes, so reads land on short,
+        // exact and overlong frames, over JSON-shaped payloads.
+        let mut bytes = Vec::new();
+        for (claimed, codes) in frames {
+            bytes.extend_from_slice(&claimed.to_be_bytes());
+            bytes.extend_from_slice(json_alphabet(codes).as_bytes());
+        }
+        prop_assert!(read_frames(&bytes, chunk) <= MAX_FRAME_BYTES);
+    }
+
+    #[test]
+    fn framed_corpus_documents_never_panic_the_frame_reader(
+        pick in 0usize..1_000,
+        slack in 0u32..8,
+        longer in proptest::bool::ANY,
+        chunk in 1usize..64,
+    ) {
+        // A committed document behind a prefix a few bytes off its length.
+        let docs: Vec<String> = committed("requests.jsonl")
+            .into_iter()
+            .chain(committed("responses.jsonl"))
+            .collect();
+        let doc = docs[pick % docs.len()].as_bytes();
+        let len = doc.len() as u32;
+        let claimed = if longer { len + slack } else { len.saturating_sub(slack) };
+        let mut bytes = claimed.to_be_bytes().to_vec();
+        bytes.extend_from_slice(doc);
+        prop_assert!(read_frames(&bytes, chunk) <= MAX_FRAME_BYTES);
     }
 }
