@@ -178,13 +178,35 @@ pub const DRIFT_CHANGE_ROUND: u64 = 150;
 /// restart-across-the-change-point test — all pinned to the same
 /// `golden_drift_cts.json` trace.
 pub fn drift_scenario() -> ScenarioSpec {
-    let path = fixtures_dir().join("drift_scenario.json");
-    let text = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing drift scenario {} ({e})", path.display()));
-    let spec = ScenarioSpec::from_json_text(&text)
-        .unwrap_or_else(|e| panic!("drift scenario document no longer parses: {e}"));
+    let spec = load_scenario("drift_scenario.json");
     assert_eq!(spec.horizon, DRIFT_HORIZON, "drift fixture horizon drifted");
     spec
+}
+
+/// The drifting reward-model scenarios that `drift_scenario.json` (CTS-D,
+/// side observation) leaves uncovered, keyed by their fixture name: DFL-SSR
+/// (single play, side reward) and DFL-CSR (combinatorial, side reward), each
+/// with gradual drift, a change point and an arm-churn window.
+pub fn drift_reward_specs() -> Vec<(&'static str, ScenarioSpec)> {
+    vec![
+        (
+            "drift_dfl_ssr",
+            load_scenario("drift_scenario_dfl_ssr.json"),
+        ),
+        (
+            "drift_dfl_csr",
+            load_scenario("drift_scenario_dfl_csr.json"),
+        ),
+    ]
+}
+
+/// Parses a committed scenario document from `tests/fixtures/`.
+pub fn load_scenario(file: &str) -> ScenarioSpec {
+    let path = fixtures_dir().join(file);
+    let text = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing scenario {} ({e})", path.display()));
+    ScenarioSpec::from_json_text(&text)
+        .unwrap_or_else(|e| panic!("scenario document {file} no longer parses: {e}"))
 }
 
 /// A run's trace with every float captured as its exact bit pattern.

@@ -23,8 +23,8 @@
 mod common;
 
 use common::{
-    check_golden, cso_family, csr_family, drift_scenario, fixture_instance, COMB_HORIZON, RUN_SEED,
-    SINGLE_HORIZON,
+    check_golden, cso_family, csr_family, drift_reward_specs, drift_scenario, fixture_instance,
+    COMB_HORIZON, RUN_SEED, SINGLE_HORIZON,
 };
 use netband::prelude::*;
 
@@ -117,6 +117,22 @@ fn golden_trace_dfl_csr() {
 fn golden_trace_drift_cts() {
     let result = run_spec(&drift_scenario()).expect("drift scenario runs");
     check_golden("drift_cts", result);
+}
+
+/// Drifting DFL-SSR (`drift_scenario_dfl_ssr.json`): the single-play drifted
+/// pull and the side-reward scoring and oracle under drifted means.
+#[test]
+fn golden_trace_drift_dfl_ssr() {
+    let (name, spec) = &drift_reward_specs()[0];
+    check_golden(name, run_spec(spec).expect("drift scenario runs"));
+}
+
+/// Drifting DFL-CSR (`drift_scenario_dfl_csr.json`): the combinatorial
+/// coverage scoring and oracle under drifted means.
+#[test]
+fn golden_trace_drift_dfl_csr() {
+    let (name, spec) = &drift_reward_specs()[1];
+    check_golden(name, run_spec(spec).expect("drift scenario runs"));
 }
 
 /// Golden runs are themselves deterministic: running one twice in-process must

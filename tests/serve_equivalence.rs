@@ -13,8 +13,8 @@
 mod common;
 
 use common::{
-    assert_golden, cso_family, csr_family, drift_scenario, fixture_instance, GoldenTrace,
-    COMB_HORIZON, DRIFT_CHANGE_ROUND, DRIFT_HORIZON, RUN_SEED, SINGLE_HORIZON,
+    assert_golden, cso_family, csr_family, drift_reward_specs, drift_scenario, fixture_instance,
+    GoldenTrace, COMB_HORIZON, DRIFT_CHANGE_ROUND, DRIFT_HORIZON, RUN_SEED, SINGLE_HORIZON,
 };
 use netband::prelude::*;
 use proptest::prelude::*;
@@ -269,6 +269,38 @@ fn spec_registered_drifting_tenant_reproduces_the_drift_fixture() {
     assert_eq!(snapshot.round(), DRIFT_HORIZON as u64);
     assert_golden("drift_cts", &snapshot.run_result());
     engine.shutdown();
+}
+
+/// Serves a spec-registered tenant for its whole horizon on a single-shard
+/// engine and compares the run with the committed fixture `golden_<name>`.
+fn assert_spec_tenant_reproduces(name: &str, spec: ScenarioSpec) {
+    let horizon = spec.horizon;
+    let engine = ServeEngine::with_shards(1);
+    engine
+        .register_tenant_spec(&RegisterTenantSpec::new(name, spec))
+        .expect("register drifting tenant from spec");
+    serve_closed_loop(&engine, name, horizon);
+    let snapshot = engine.evict_tenant(name).expect("evict tenant");
+    assert_eq!(snapshot.round(), horizon as u64, "{name}");
+    assert_golden(name, &snapshot.run_result());
+    engine.shutdown();
+}
+
+/// The drifting DFL-SSR document served as a tenant: the single-play drifted
+/// pull, side-reward scoring and drifted side-reward oracle of the engine
+/// match the simulation's fixture.
+#[test]
+fn spec_registered_drifting_dfl_ssr_tenant_reproduces_its_fixture() {
+    let (name, spec) = drift_reward_specs().swap_remove(0);
+    assert_spec_tenant_reproduces(name, spec);
+}
+
+/// The drifting DFL-CSR document served as a tenant: the engine's drifted
+/// coverage scoring and oracle match the simulation's fixture.
+#[test]
+fn spec_registered_drifting_dfl_csr_tenant_reproduces_its_fixture() {
+    let (name, spec) = drift_reward_specs().swap_remove(1);
+    assert_spec_tenant_reproduces(name, spec);
 }
 
 /// Restart survival for nonstationary worlds: snapshot *before* the change
