@@ -10,9 +10,9 @@
 //! JSON write and fails only on *pathological* regressions (generous absolute
 //! ns/arm ceilings, not machine-tuned ratios).
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use netband_bench::{machine_fingerprint_json, workspace_root};
 use netband_core::kernels;
 use netband_env::feasible::FeasibleSet;
 use netband_env::StrategyFamily;
@@ -193,12 +193,6 @@ fn run_oracles(fast: bool) -> Vec<OracleRow> {
     rows
 }
 
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-}
-
 fn write_json(kernels: &[KernelRow], oracles: &[OracleRow]) {
     let kernel_rows: Vec<String> = kernels
         .iter()
@@ -222,13 +216,10 @@ fn write_json(kernels: &[KernelRow], oracles: &[OracleRow]) {
             )
         })
         .collect();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let json = format!(
-        "{{\n  \"bench\": \"score_kernels\",\n  \"t\": {T},\n  \
-         \"available_parallelism\": {cores},\n  \"kernels\": [\n{}\n  ],\n  \
+        "{{\n  \"bench\": \"score_kernels\",\n  \"t\": {T},\n{}  \"kernels\": [\n{}\n  ],\n  \
          \"oracles\": [\n{}\n  ]\n}}\n",
+        machine_fingerprint_json(),
         kernel_rows.join(",\n"),
         oracle_rows.join(",\n")
     );

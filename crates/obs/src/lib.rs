@@ -21,9 +21,11 @@
 //! ## Ownership discipline
 //!
 //! Nothing here is synchronised. Histograms, rings, and stage timers are
-//! plain values meant to be owned by exactly one thread (a shard) and
-//! *gathered* through that thread's command loop, exactly like
-//! `netband-serve`'s metrics. The [`Registry`] is a cold-path aggregation
+//! plain values owned by one `netband-serve` shard, exactly like its
+//! metrics: they live inside the shard, behind the shard's lock, so only the
+//! thread currently running a command on that shard touches them, and a
+//! scrape *gathers* them by taking each shard's lock in turn. The
+//! [`Registry`] is a cold-path aggregation
 //! target: callers build one at scrape time from gathered reports, render it,
 //! and throw it away — it never sits on a hot path.
 

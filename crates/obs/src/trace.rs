@@ -1,7 +1,8 @@
 //! A fixed-capacity ring of structured serving events.
 //!
 //! Each shard owns one [`TraceRing`] (same ownership discipline as the
-//! serving metrics: thread-local, gathered through the command loop).
+//! serving metrics: it lives behind the shard's lock, is written by whichever
+//! thread runs a command on the shard, and is drained under that lock).
 //! Recording is `Copy`-only — the tenant id is truncated into an inline
 //! [`TagStr`], so the hot path never allocates — and the ring overwrites its
 //! oldest events when full, counting what it dropped. Sequence numbers are

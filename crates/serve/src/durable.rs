@@ -77,17 +77,17 @@ pub(crate) fn capture_tenant(t: &Tenant) -> Result<StoredTenantSnapshot, ServeEr
         version: STORE_VERSION,
         id: t.id.clone(),
         scenario,
-        round: t.round,
-        optimal_sum: t.optimal_sum,
-        total_reward: t.total_reward,
+        round: t.session.round(),
+        optimal_sum: t.session.optimal_sum(),
+        total_reward: t.session.total_reward(),
         flush_max_pending: t.flush.max_pending as u64,
         flush_before_decide: t.flush.flush_before_decide,
         auto_feedback: t.auto_feedback,
         echo_feedback: t.echo_feedback,
-        rng: t.rng.to_state(),
+        rng: t.session.rng().to_state(),
         policy,
-        realised: t.trace.realised().to_vec(),
-        pseudo: t.trace.pseudo().to_vec(),
+        realised: t.session.trace().realised().to_vec(),
+        pseudo: t.session.trace().pseudo().to_vec(),
         pending,
         metrics: t.metrics.clone(),
     })
@@ -165,13 +165,13 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
             }
         }
     }
-    tenant.rng = StdRng::from_state(rng);
-    tenant.round = round;
-    tenant.optimal_sum = optimal_sum;
-    tenant.total_reward = total_reward;
     // Lengths were validated against `round` by the document codec, so the
     // constructor's length panic is unreachable here.
-    tenant.trace = RegretTrace::from_parts(realised, pseudo);
+    let trace = RegretTrace::from_parts(realised, pseudo);
+    let rng = StdRng::from_state(rng);
+    tenant
+        .session
+        .resume(rng, round, optimal_sum, total_reward, trace);
     tenant.metrics = metrics;
     Ok(tenant)
 }

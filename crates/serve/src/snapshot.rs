@@ -1,25 +1,23 @@
-//! Restartable tenant checkpoints.
+//! Restartable in-memory tenant checkpoints.
 //!
 //! A [`TenantSnapshot`] captures everything a tenant needs to resume after an
 //! engine restart: the environment's *serialized form* (relation graph + arm
 //! set — deliberately **not** the derived CSR snapshot), the policy's learned
-//! state, the RNG state, and the regret accounting. Restoring goes through
+//! state, and the tenant's round [`Session`] (RNG state, drift and regret
+//! accounting). Restoring goes through
 //! [`netband_env::NetworkedBandit::new`], which rebuilds the CSR snapshot —
-//! the same refresh path a `serde`-deserialized environment takes — so a
-//! restored tenant continues bit-identically to the original.
+//! the same refresh path a deserialized environment takes — so a restored
+//! tenant continues bit-identically to the original.
 //!
-//! The snapshot is an in-memory value (the vendored `serde` shim has no
-//! serializer); the fields mirror the `serde` data model of the underlying
-//! types, so wiring up a real on-disk format is a serializer choice, not a
-//! redesign. Policies are captured as cloned boxes — a wire format would
-//! enumerate the concrete policy types instead.
+//! The snapshot is an in-memory value: policies are captured as cloned boxes.
+//! The on-disk form of a tenant is a different document,
+//! [`netband_spec::StoredTenantSnapshot`], written by the durable store
+//! (see `crate::durable`); it records the originating scenario document plus
+//! the learned state, and its codec is hand-rolled in `netband-spec`.
 
-use rand::rngs::StdRng;
-
-use netband_env::{ArmSet, DriftSchedule, StrategyFamily};
+use netband_env::{ArmSet, StrategyFamily};
 use netband_graph::RelationGraph;
-use netband_sim::regret::RegretTrace;
-use netband_sim::{CombinatorialScenario, RunResult, SingleScenario};
+use netband_sim::{RunResult, Session};
 
 use crate::api::{FlushPolicy, TenantId};
 use crate::metrics::TenantMetrics;
@@ -29,30 +27,22 @@ use crate::tenant::{DynCombinatorialPolicy, DynSinglePolicy};
 pub(crate) enum SnapshotKind {
     Single {
         policy: Box<dyn DynSinglePolicy>,
-        scenario: SingleScenario,
     },
     Combinatorial {
         policy: Box<dyn DynCombinatorialPolicy>,
         family: StrategyFamily,
-        scenario: CombinatorialScenario,
     },
 }
 
 impl Clone for SnapshotKind {
     fn clone(&self) -> Self {
         match self {
-            SnapshotKind::Single { policy, scenario } => SnapshotKind::Single {
+            SnapshotKind::Single { policy } => SnapshotKind::Single {
                 policy: policy.clone_box(),
-                scenario: *scenario,
             },
-            SnapshotKind::Combinatorial {
-                policy,
-                family,
-                scenario,
-            } => SnapshotKind::Combinatorial {
+            SnapshotKind::Combinatorial { policy, family } => SnapshotKind::Combinatorial {
                 policy: policy.clone_box(),
                 family: family.clone(),
-                scenario: *scenario,
             },
         }
     }
@@ -68,18 +58,9 @@ pub struct TenantSnapshot {
     pub(crate) graph: RelationGraph,
     pub(crate) arms: ArmSet,
     pub(crate) kind: SnapshotKind,
-    pub(crate) rng: StdRng,
-    pub(crate) round: u64,
-    pub(crate) optimal: f64,
-    /// Running sum of the per-round dynamic optima (drifting tenants only;
-    /// stays 0 for stationary tenants, whose benchmark is `optimal`).
-    pub(crate) optimal_sum: f64,
-    /// The tenant's drift schedule, if it hosts a drifting world. Drift is a
-    /// pure function of the round counter, so the schedule plus `round` is
-    /// all a restore needs to continue the drifting means bit-exactly.
-    pub(crate) drift: Option<DriftSchedule>,
-    pub(crate) total_reward: f64,
-    pub(crate) trace: RegretTrace,
+    /// The tenant's round loop. Drift is a pure function of the round
+    /// counter, so the session alone continues a drifting world bit-exactly.
+    pub(crate) session: Session,
     pub(crate) flush: FlushPolicy,
     pub(crate) auto_feedback: bool,
     pub(crate) echo_feedback: bool,
@@ -98,7 +79,7 @@ impl TenantSnapshot {
 
     /// Rounds the tenant had served when the snapshot was taken.
     pub fn round(&self) -> u64 {
-        self.round
+        self.session.round()
     }
 
     /// Name of the checkpointed policy.
@@ -117,25 +98,7 @@ impl TenantSnapshot {
     /// The tenant's run so far, in the simulation engine's result format —
     /// the bridge the golden-trace equivalence suite compares through.
     pub fn run_result(&self) -> RunResult {
-        // Drifting tenants report the horizon average of the per-round
-        // dynamic optima — the same expression as the drifted simulation
-        // runners, so the two results compare bit-for-bit.
-        let optimal_mean = if self.drift.is_some() {
-            if self.round == 0 {
-                0.0
-            } else {
-                self.optimal_sum / self.round as f64
-            }
-        } else {
-            self.optimal
-        };
-        RunResult {
-            policy: self.policy_name().to_owned(),
-            horizon: self.round as usize,
-            optimal_mean,
-            total_reward: self.total_reward,
-            trace: self.trace.clone(),
-        }
+        self.session.clone().into_result(self.policy_name())
     }
 }
 
@@ -144,7 +107,7 @@ impl std::fmt::Debug for TenantSnapshot {
         f.debug_struct("TenantSnapshot")
             .field("id", &self.id)
             .field("policy", &self.policy_name())
-            .field("round", &self.round)
+            .field("round", &self.round())
             .field("arms", &self.arms.len())
             .finish_non_exhaustive()
     }
@@ -157,6 +120,7 @@ mod tests {
     use netband_core::DflSso;
     use netband_env::NetworkedBandit;
     use netband_graph::generators;
+    use netband_sim::SingleScenario;
 
     fn snapshot_fixture() -> TenantSnapshot {
         let graph = generators::path(5);

@@ -2,21 +2,16 @@
 //!
 //! A tenant couples a policy (any [`SinglePlayPolicy`] or
 //! [`CombinatorialPolicy`] implementation), a [`NetworkedBandit`] environment,
-//! and the serving bookkeeping: a seeded RNG, the PR-2 scratch buffers that
-//! make a decide allocation-free, a pending [`FeedbackBatch`] for delayed
-//! feedback, regret accounting identical to the batch simulation, and
-//! per-tenant metrics. Tenants are plain data owned by exactly one shard
-//! thread — all concurrency lives a level up, in the shard command loop.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! and the serving bookkeeping: a [`Session`] that plays each decide's round
+//! (seeded RNG, reused pull buffers, drift, and regret accounting — the same
+//! round loop as the batch simulation), a pending [`FeedbackBatch`] for
+//! delayed feedback, and per-tenant metrics. Tenants are plain data: each
+//! lives in one shard's tenant table and is only touched by the thread that
+//! holds that shard's lock, so all concurrency lives a level up, in the shard.
 
 use netband_core::{CombinatorialPolicy, SinglePlayPolicy};
-use netband_env::feasible::FeasibleSet;
-use netband_env::{DriftSchedule, FeedbackBatch, NetworkedBandit, PullBuffer, StrategyFamily};
-use netband_sim::regret::RegretTrace;
-use netband_sim::step;
-use netband_sim::{CombinatorialScenario, SingleScenario};
+use netband_env::{DriftSchedule, FeedbackBatch, NetworkedBandit, StrategyFamily};
+use netband_sim::{CombinatorialScenario, RoundStage, Session, SingleScenario};
 
 use netband_obs::{DecideStage, StageClock, StageTimings};
 
@@ -283,15 +278,12 @@ impl TenantSpec {
 pub(crate) enum TenantKind {
     Single {
         policy: Box<dyn DynSinglePolicy>,
-        scenario: SingleScenario,
         pending: FeedbackBatch<netband_env::SinglePlayFeedback>,
     },
     Combinatorial {
         policy: Box<dyn DynCombinatorialPolicy>,
         family: StrategyFamily,
-        scenario: CombinatorialScenario,
         pending: FeedbackBatch<netband_env::CombinatorialFeedback>,
-        strategy_scratch: Vec<crate::ArmId>,
     },
 }
 
@@ -299,6 +291,15 @@ pub(crate) enum TenantKind {
 fn lap(stages: &mut Option<(&mut StageClock, &mut StageTimings)>, stage: DecideStage) {
     if let Some((clock, timings)) = stages {
         clock.lap(stage, timings);
+    }
+}
+
+/// The decide stage that ends at a round's [`RoundStage`] boundary.
+fn decide_stage(stage: RoundStage) -> DecideStage {
+    match stage {
+        RoundStage::Select => DecideStage::Select,
+        RoundStage::Pull => DecideStage::Pull,
+        RoundStage::Score => DecideStage::Score,
     }
 }
 
@@ -328,24 +329,9 @@ pub(crate) struct Tenant {
     pub(crate) id: TenantId,
     pub(crate) bandit: NetworkedBandit,
     pub(crate) kind: TenantKind,
-    pub(crate) rng: StdRng,
-    pub(crate) buf: PullBuffer,
-    /// Rounds served so far; the next decide is round `round + 1` (1-based,
+    /// The round loop: each decide plays the session's next round (1-based,
     /// matching the simulation runner's time slots).
-    pub(crate) round: u64,
-    pub(crate) optimal: f64,
-    /// Running sum of per-round dynamic optima (drifting tenants only).
-    pub(crate) optimal_sum: f64,
-    /// Drift schedule of the hosted world, `None` for stationary tenants
-    /// (trivial schedules are dropped in [`Tenant::new`]).
-    pub(crate) drift: Option<DriftSchedule>,
-    /// Stationary base means the drift schedule perturbs; empty when
-    /// stationary (recomputed from the arm set on restore, never serialized).
-    pub(crate) base_means: Vec<f64>,
-    /// Per-decide scratch for the drifted mean vector.
-    pub(crate) drift_means: Vec<f64>,
-    pub(crate) total_reward: f64,
-    pub(crate) trace: RegretTrace,
+    pub(crate) session: Session,
     pub(crate) flush: FlushPolicy,
     pub(crate) auto_feedback: bool,
     pub(crate) echo_feedback: bool,
@@ -373,57 +359,33 @@ impl Tenant {
             origin,
             kind,
         } = spec;
-        let drift = drift.filter(|d| !d.is_trivial());
-        let base_means = if drift.is_some() {
-            bandit.means().to_vec()
-        } else {
-            Vec::new()
-        };
-        let drift_means = vec![0.0; base_means.len()];
-        let (kind, optimal) = match kind {
-            SpecKind::Single { policy, scenario } => {
-                let optimal = step::single_benchmark(&bandit, scenario);
-                (
-                    TenantKind::Single {
-                        policy,
-                        scenario,
-                        pending: FeedbackBatch::new(),
-                    },
-                    optimal,
-                )
-            }
+        let (kind, session) = match kind {
+            SpecKind::Single { policy, scenario } => (
+                TenantKind::Single {
+                    policy,
+                    pending: FeedbackBatch::new(),
+                },
+                Session::single(&bandit, scenario, drift, seed, 0),
+            ),
             SpecKind::Combinatorial {
                 policy,
                 family,
                 scenario,
             } => {
-                let optimal = step::combinatorial_benchmark(&bandit, &family, scenario);
-                (
-                    TenantKind::Combinatorial {
-                        policy,
-                        family,
-                        scenario,
-                        pending: FeedbackBatch::new(),
-                        strategy_scratch: Vec::new(),
-                    },
-                    optimal,
-                )
+                let session = Session::combinatorial(&bandit, &family, scenario, drift, seed, 0);
+                let kind = TenantKind::Combinatorial {
+                    policy,
+                    family,
+                    pending: FeedbackBatch::new(),
+                };
+                (kind, session)
             }
         };
         Ok(Tenant {
             id,
             bandit,
             kind,
-            rng: StdRng::seed_from_u64(seed),
-            buf: PullBuffer::new(),
-            round: 0,
-            optimal,
-            optimal_sum: 0.0,
-            drift,
-            base_means,
-            drift_means,
-            total_reward: 0.0,
-            trace: RegretTrace::with_capacity(0),
+            session,
             flush,
             auto_feedback,
             echo_feedback,
@@ -432,10 +394,10 @@ impl Tenant {
         })
     }
 
-    /// Serves one decision into a caller-owned reply slot. The per-round
-    /// arithmetic (pull, reward, regret record, optional immediate update)
-    /// matches the batch runner expression for expression, which is what the
-    /// golden-trace equivalence suite pins.
+    /// Serves one decision into a caller-owned reply slot. The round itself
+    /// (select, pull, reward, regret record, optional immediate update) is
+    /// played by the tenant's [`Session`], the batch runner's round loop,
+    /// which is what the golden-trace equivalence suite pins.
     ///
     /// Every field of `reply` is overwritten; a warm slot (same play mode,
     /// echo setting, and similar observation sizes as the previous occupant)
@@ -456,130 +418,41 @@ impl Tenant {
         if self.flush.flush_before_decide {
             self.flush_pending();
         }
-        self.round += 1;
-        let t = self.round as usize;
-        let echo = self.echo_feedback;
-        let auto = self.auto_feedback;
-        // Drift is a pure function of the (already advanced) round counter:
-        // the drifted means and the per-round optimum consume no randomness,
-        // which is what keeps snapshot/restore bit-exact mid-drift.
-        let drifting = self.drift.is_some();
-        if let Some(schedule) = &self.drift {
-            schedule.means_at(&self.base_means, self.round, &mut self.drift_means);
-        }
+        let (auto, echo) = (self.auto_feedback, self.echo_feedback);
+        let laps = |stage| lap(&mut stages, decide_stage(stage));
         match &mut self.kind {
-            TenantKind::Single {
-                policy, scenario, ..
-            } => {
-                let optimal = if drifting {
-                    step::single_benchmark_with(&self.bandit, &self.drift_means, *scenario)
-                } else {
-                    self.optimal
-                };
-                let arm = policy.select_arm(t);
-                lap(&mut stages, DecideStage::Select);
-                let feedback = if drifting {
-                    self.buf.pull_single_drifted(
-                        &self.bandit,
-                        &self.drift_means,
-                        arm,
-                        &mut self.rng,
-                    )
-                } else {
-                    self.buf.pull_single(&self.bandit, arm, &mut self.rng)
-                };
-                lap(&mut stages, DecideStage::Pull);
-                let (reward, mean) = if drifting {
-                    step::score_single_with(&self.bandit, &self.drift_means, *scenario, feedback)
-                } else {
-                    step::score_single(&self.bandit, *scenario, feedback)
-                };
-                self.total_reward += reward;
-                self.optimal_sum += optimal;
-                self.trace.record(optimal - reward, optimal - mean);
-                if auto {
-                    policy.update(t, feedback);
-                }
-                lap(&mut stages, DecideStage::Score);
-                reply.round = self.round;
-                reply.decision.set_arm(arm);
-                reply.reward = reward;
+            TenantKind::Single { policy, .. } => {
+                let played = self
+                    .session
+                    .play_single(&self.bandit, policy.as_mut(), auto, laps);
+                reply.round = played.round;
+                reply.decision.set_arm(played.feedback.arm);
+                reply.reward = played.reward;
                 if echo {
-                    set_single_event(&mut reply.feedback, feedback);
+                    set_single_event(&mut reply.feedback, played.feedback);
                 } else {
                     reply.feedback = None;
                 }
-                lap(&mut stages, DecideStage::Reply);
             }
-            TenantKind::Combinatorial {
-                policy,
-                family,
-                scenario,
-                strategy_scratch,
-                ..
-            } => {
-                let optimal = if drifting {
-                    step::combinatorial_benchmark_with(
-                        &self.bandit,
-                        family,
-                        &self.drift_means,
-                        *scenario,
-                    )
-                } else {
-                    self.optimal
-                };
-                policy.select_strategy_into(t, strategy_scratch);
-                lap(&mut stages, DecideStage::Select);
-                debug_assert!(
-                    family.contains(strategy_scratch, self.bandit.graph()),
-                    "tenant {} policy {} proposed an infeasible strategy {strategy_scratch:?}",
-                    self.id,
-                    policy.name()
-                );
-                let pulled = if drifting {
-                    self.buf.pull_strategy_drifted(
-                        &self.bandit,
-                        &self.drift_means,
-                        strategy_scratch,
-                        &mut self.rng,
-                    )
-                } else {
-                    self.buf
-                        .pull_strategy(&self.bandit, strategy_scratch, &mut self.rng)
-                };
-                let feedback = match pulled {
-                    Ok(fb) => fb,
-                    Err(e) => {
-                        // The decision never happened; un-advance the round
-                        // so the counter keeps matching the trace length.
-                        self.round -= 1;
-                        return Err(ServeError::Env(e));
-                    }
-                };
-                lap(&mut stages, DecideStage::Pull);
-                let (reward, mean) = if drifting {
-                    step::score_combinatorial_with(&self.drift_means, *scenario, feedback)
-                } else {
-                    step::score_combinatorial(&self.bandit, *scenario, feedback)
-                };
-                self.total_reward += reward;
-                self.optimal_sum += optimal;
-                self.trace.record(optimal - reward, optimal - mean);
-                if auto {
-                    policy.update(t, feedback);
-                }
-                lap(&mut stages, DecideStage::Score);
-                reply.round = self.round;
-                reply.decision.set_strategy(&feedback.strategy);
-                reply.reward = reward;
+            TenantKind::Combinatorial { policy, family, .. } => {
+                let played = self.session.play_combinatorial(
+                    &self.bandit,
+                    family,
+                    policy.as_mut(),
+                    auto,
+                    laps,
+                )?;
+                reply.round = played.round;
+                reply.decision.set_strategy(&played.feedback.strategy);
+                reply.reward = played.reward;
                 if echo {
-                    set_combinatorial_event(&mut reply.feedback, feedback);
+                    set_combinatorial_event(&mut reply.feedback, played.feedback);
                 } else {
                     reply.feedback = None;
                 }
-                lap(&mut stages, DecideStage::Reply);
             }
         }
+        lap(&mut stages, DecideStage::Reply);
         self.metrics.decides += 1;
         Ok(())
     }
@@ -603,11 +476,12 @@ impl Tenant {
     /// delivery is the transport's responsibility — a retried event double
     /// counts its observations in the estimators.
     pub(crate) fn feedback(&mut self, round: u64, event: FeedbackEvent) -> Result<u64, ServeError> {
-        if round == 0 || round > self.round {
+        let served = self.session.round();
+        if round == 0 || round > served {
             return Err(ServeError::InvalidRound {
                 tenant: self.id.clone(),
                 round,
-                served: self.round,
+                served,
             });
         }
         match (&mut self.kind, event) {
@@ -664,21 +538,12 @@ impl Tenant {
     pub(crate) fn snapshot(&mut self) -> TenantSnapshot {
         self.flush_pending();
         let kind = match &self.kind {
-            TenantKind::Single {
-                policy, scenario, ..
-            } => SnapshotKind::Single {
+            TenantKind::Single { policy, .. } => SnapshotKind::Single {
                 policy: policy.clone_box(),
-                scenario: *scenario,
             },
-            TenantKind::Combinatorial {
-                policy,
-                family,
-                scenario,
-                ..
-            } => SnapshotKind::Combinatorial {
+            TenantKind::Combinatorial { policy, family, .. } => SnapshotKind::Combinatorial {
                 policy: policy.clone_box(),
                 family: family.clone(),
-                scenario: *scenario,
             },
         };
         TenantSnapshot {
@@ -686,13 +551,7 @@ impl Tenant {
             graph: self.bandit.graph().clone(),
             arms: self.bandit.arms().clone(),
             kind,
-            rng: self.rng.clone(),
-            round: self.round,
-            optimal: self.optimal,
-            optimal_sum: self.optimal_sum,
-            drift: self.drift.clone(),
-            total_reward: self.total_reward,
-            trace: self.trace.clone(),
+            session: self.session.clone(),
             flush: self.flush,
             auto_feedback: self.auto_feedback,
             echo_feedback: self.echo_feedback,
@@ -710,13 +569,7 @@ impl Tenant {
             graph,
             arms,
             kind,
-            rng,
-            round,
-            optimal,
-            optimal_sum,
-            drift,
-            total_reward,
-            trace,
+            session,
             flush,
             auto_feedback,
             echo_feedback,
@@ -724,47 +577,22 @@ impl Tenant {
             origin,
         } = snapshot;
         let bandit = NetworkedBandit::new(graph, arms)?;
-        // Base means are derived from the arm set, so they are rebuilt rather
-        // than serialized; drift itself is a pure function of the restored
-        // round counter, so the drifting world resumes bit-exactly.
-        let base_means = if drift.is_some() {
-            bandit.means().to_vec()
-        } else {
-            Vec::new()
-        };
-        let drift_means = vec![0.0; base_means.len()];
         let kind = match kind {
-            SnapshotKind::Single { policy, scenario } => TenantKind::Single {
+            SnapshotKind::Single { policy } => TenantKind::Single {
                 policy,
-                scenario,
                 pending: FeedbackBatch::new(),
             },
-            SnapshotKind::Combinatorial {
+            SnapshotKind::Combinatorial { policy, family } => TenantKind::Combinatorial {
                 policy,
                 family,
-                scenario,
-            } => TenantKind::Combinatorial {
-                policy,
-                family,
-                scenario,
                 pending: FeedbackBatch::new(),
-                strategy_scratch: Vec::new(),
             },
         };
         Ok(Tenant {
             id,
             bandit,
             kind,
-            rng,
-            buf: PullBuffer::new(),
-            round,
-            optimal,
-            optimal_sum,
-            drift,
-            base_means,
-            drift_means,
-            total_reward,
-            trace,
+            session,
             flush,
             auto_feedback,
             echo_feedback,
@@ -797,10 +625,10 @@ impl Tenant {
         TenantTelemetry {
             id: self.id.clone(),
             policy: self.policy_name().to_string(),
-            round: self.round,
+            round: self.session.round(),
             pending_feedback: self.pending_len() as u64,
-            total_reward: self.total_reward,
-            optimal_reward: self.optimal_sum,
+            total_reward: self.session.total_reward(),
+            optimal_reward: self.session.optimal_sum(),
             metrics: self.metrics.clone(),
             arm_pulls,
             arm_means,
@@ -816,6 +644,8 @@ mod tests {
     use netband_env::ArmSet;
     use netband_graph::generators;
     use netband_sim::{run_single, SingleScenario};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn fixture_bandit(seed: u64) -> NetworkedBandit {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -851,13 +681,17 @@ mod tests {
         for _ in 0..200 {
             tenant.decide().unwrap();
         }
-        assert_eq!(tenant.round, 200);
+        let result = tenant.snapshot().run_result();
+        assert_eq!(result.horizon, 200);
         assert_eq!(
-            tenant.total_reward.to_bits(),
+            result.total_reward.to_bits(),
             expected.total_reward.to_bits()
         );
-        assert_eq!(tenant.trace, expected.trace);
-        assert_eq!(tenant.optimal.to_bits(), expected.optimal_mean.to_bits());
+        assert_eq!(result.trace, expected.trace);
+        assert_eq!(
+            result.optimal_mean.to_bits(),
+            expected.optimal_mean.to_bits()
+        );
     }
 
     #[test]
@@ -869,7 +703,7 @@ mod tests {
             let reply = echo.decide().unwrap();
             echo.feedback(reply.round, reply.feedback.unwrap()).unwrap();
         }
-        assert_eq!(auto.trace, echo.trace);
+        assert_eq!(auto.session.trace(), echo.session.trace());
         assert_eq!(auto.metrics.decides, echo.metrics.decides);
         assert_eq!(echo.metrics.feedback_events, 100);
         assert_eq!(echo.metrics.events_applied, 100);
@@ -954,39 +788,38 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(
-            original.total_reward.to_bits(),
-            restored.total_reward.to_bits()
+            original.session.total_reward().to_bits(),
+            restored.session.total_reward().to_bits()
         );
     }
 
     #[test]
     fn drifting_tenant_matches_the_drifted_runner_exactly() {
-        use netband_env::{ChangePoint, DriftSchedule};
-        let drift = DriftSchedule {
-            change_points: vec![ChangePoint {
-                round: 60,
-                rotation: 3,
-            }],
-            ..DriftSchedule::default()
-        };
-        let bandit = fixture_bandit(3);
-        let mut policy = DflSso::new(bandit.graph().clone());
-        let expected = netband_sim::run_single_drifted(
-            &bandit,
-            &drift,
-            &mut policy,
-            SingleScenario::SideObservation,
-            200,
-            77,
-        );
+        // The drifted runner is `run_spec` of a drifting document; the tenant
+        // is registered from the same document.
+        let text = r#"{
+            "version": 1, "name": "drift-sso",
+            "workload": {
+                "graph": {"type": "erdos_renyi", "num_arms": 8, "edge_prob": 0.4},
+                "arms": {"type": "uniform_mean_bernoulli", "num_arms": 8},
+                "drift": {"change_points": [{"round": 60, "rotation": 3}]},
+                "seed": 3
+            },
+            "policy": {"type": "dfl_sso"}, "side_bonus": "observation",
+            "horizon": 200, "replications": 1, "seed": 77,
+            "feedback": {"type": "immediate"}
+        }"#;
+        let scenario = netband_spec::ScenarioSpec::from_json_text(text).unwrap();
+        let expected = netband_sim::run_spec(&scenario).unwrap();
 
         let mut tenant = Tenant::new(
-            single_spec("t", 77)
-                .with_drift(drift)
+            TenantSpec::from_scenario("t", &scenario)
+                .unwrap()
                 .with_auto_feedback(true)
                 .with_echo_feedback(false),
         )
         .unwrap();
+        assert!(tenant.session.is_drifting());
         for _ in 0..200 {
             tenant.decide().unwrap();
         }
@@ -1034,12 +867,12 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(
-            original.total_reward.to_bits(),
-            restored.total_reward.to_bits()
+            original.session.total_reward().to_bits(),
+            restored.session.total_reward().to_bits()
         );
         assert_eq!(
-            original.optimal_sum.to_bits(),
-            restored.optimal_sum.to_bits()
+            original.session.optimal_sum().to_bits(),
+            restored.session.optimal_sum().to_bits()
         );
     }
 
@@ -1052,7 +885,7 @@ mod tests {
                 .with_auto_feedback(true),
         )
         .unwrap();
-        assert!(trivial.drift.is_none());
+        assert!(!trivial.session.is_drifting());
         for _ in 0..50 {
             let a = plain.decide().unwrap();
             let b = trivial.decide().unwrap();

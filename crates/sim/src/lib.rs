@@ -6,18 +6,22 @@
 //! scenario's reward model, averages over independent replications (optionally
 //! in parallel), and exports the resulting curves.
 //!
-//! * [`runner`] — single-run drivers for the four scenarios, including the
-//!   coupled driver that feeds several policies the same sample path (Fig. 3).
-//! * [`step`] — the per-round reward/benchmark scoring shared by the runners
-//!   and the `netband-serve` engine (one source of truth for the float
+//! * [`session`] — the one round loop (select → pull → score → record, with
+//!   optional drift) that the runners and the `netband-serve` tenants play
+//!   through.
+//! * [`runner`] — thin single-run drivers for the four scenarios over a
+//!   [`Session`], plus the coupled driver that feeds several policies the same
+//!   sample path (Fig. 3).
+//! * [`step`] — the per-round reward/benchmark scoring expressions used by the
+//!   session and the coupled driver (one source of truth for the float
 //!   expressions the golden traces pin).
 //! * [`regret`] — per-round regret traces (realised and pseudo), cumulative and
 //!   time-averaged views.
 //! * [`spec`] — spec-driven entry points ([`run_spec`] / [`replicate_spec`])
 //!   that build `netband-spec` [`ScenarioSpec`](netband_spec::ScenarioSpec)
 //!   documents and drive them through the same runners bit-identically.
-//! * [`mod@replicate`] — multi-replication averaging with crossbeam-based
-//!   parallelism.
+//! * [`mod@replicate`] — multi-replication averaging, optionally in parallel
+//!   on scoped `std` threads.
 //! * [`stats`] — means, deviations, confidence intervals, downsampling.
 //! * [`export`] — CSV and fixed-width table output.
 //!
@@ -52,6 +56,7 @@ pub mod export;
 pub mod regret;
 pub mod replicate;
 pub mod runner;
+pub mod session;
 pub mod spec;
 pub mod stats;
 pub mod step;
@@ -60,8 +65,9 @@ pub mod sweep;
 pub use regret::RegretTrace;
 pub use replicate::{replicate, AveragedRun, ReplicationConfig};
 pub use runner::{
-    run_combinatorial, run_combinatorial_drifted, run_single, run_single_coupled,
-    run_single_drifted, CombinatorialScenario, RunResult, SingleScenario,
+    run_combinatorial, run_single, run_single_coupled, CombinatorialScenario, RunResult,
+    SingleScenario,
 };
+pub use session::{Played, RoundStage, Session};
 pub use spec::{replicate_spec, run_built, run_spec};
 pub use sweep::Sweep;

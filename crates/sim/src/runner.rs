@@ -11,16 +11,21 @@
 //!   strategy's direct sum `R_{I_t,t}`; the benchmark is `λ_1` (Equation 2).
 //! * [`CombinatorialScenario::SideReward`] (CSR) — the reward is the coverage
 //!   sum `CB_{I_t,t}`; the benchmark is `σ_1` (Equation 4).
+//!
+//! [`run_single`] and [`run_combinatorial`] are thin loops over a
+//! [`Session`], which plays every round. [`run_single_coupled`] keeps its own
+//! loop: it scores every policy against one reward vector per round, a
+//! different sampling discipline.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use netband_core::{CombinatorialPolicy, SinglePlayPolicy};
-use netband_env::feasible::FeasibleSet;
-use netband_env::{DriftSchedule, EnvError, NetworkedBandit, PullBuffer, StrategyFamily};
+use netband_env::{EnvError, NetworkedBandit, PullBuffer, StrategyFamily};
 
 use crate::regret::RegretTrace;
+use crate::session::Session;
 use crate::step;
 
 /// Reward model of a single-play run.
@@ -83,78 +88,21 @@ pub fn run_single<P: SinglePlayPolicy + ?Sized>(
     horizon: usize,
     seed: u64,
 ) -> RunResult {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let optimal = step::single_benchmark(bandit, scenario);
-    let mut trace = RegretTrace::with_capacity(horizon);
-    let mut total_reward = 0.0;
-    // All per-round storage (sample vector, observation list) lives in `buf`;
-    // after the first round the loop allocates nothing.
-    let mut buf = PullBuffer::new();
-    for t in 1..=horizon {
-        let arm = policy.select_arm(t);
-        let feedback = buf.pull_single(bandit, arm, &mut rng);
-        let (reward, mean) = step::score_single(bandit, scenario, feedback);
-        total_reward += reward;
-        trace.record(optimal - reward, optimal - mean);
-        policy.update(t, feedback);
-    }
-    RunResult {
-        policy: policy.name().to_owned(),
-        horizon,
-        optimal_mean: optimal,
-        total_reward,
-        trace,
-    }
+    let session = Session::single(bandit, scenario, None, seed, horizon);
+    play_single(session, bandit, policy, horizon)
 }
 
-/// Runs a single-play policy for `horizon` slots in a drifting world.
-///
-/// The arm means of slot `t` are `drift.means_at(base, t)` where `base` is
-/// the bandit's stationary mean vector; rewards are Bernoulli draws from the
-/// drifted means (one RNG draw per arm per slot). Regret is charged against
-/// the *dynamic* oracle — the per-slot optimum under that slot's means — and
-/// the reported `optimal_mean` is the horizon average of the per-slot optima.
-///
-/// Drift is a pure function of the slot number (it consumes no randomness),
-/// so `(bandit, drift, seed)` pins the whole sample path bit for bit — the
-/// property the serving engine's snapshot/restore equivalence relies on.
-pub fn run_single_drifted<P: SinglePlayPolicy + ?Sized>(
+/// Plays `horizon` rounds of a single-play session and returns the run.
+pub(crate) fn play_single<P: SinglePlayPolicy + ?Sized>(
+    mut session: Session,
     bandit: &NetworkedBandit,
-    drift: &DriftSchedule,
     policy: &mut P,
-    scenario: SingleScenario,
     horizon: usize,
-    seed: u64,
 ) -> RunResult {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let base = bandit.means().to_vec();
-    let mut means = vec![0.0; base.len()];
-    let mut optimal_sum = 0.0;
-    let mut trace = RegretTrace::with_capacity(horizon);
-    let mut total_reward = 0.0;
-    let mut buf = PullBuffer::new();
-    for t in 1..=horizon {
-        drift.means_at(&base, t as u64, &mut means);
-        let optimal = step::single_benchmark_with(bandit, &means, scenario);
-        optimal_sum += optimal;
-        let arm = policy.select_arm(t);
-        let feedback = buf.pull_single_drifted(bandit, &means, arm, &mut rng);
-        let (reward, mean) = step::score_single_with(bandit, &means, scenario, feedback);
-        total_reward += reward;
-        trace.record(optimal - reward, optimal - mean);
-        policy.update(t, feedback);
+    for _ in 0..horizon {
+        session.play_single(bandit, policy, true, |_| {});
     }
-    RunResult {
-        policy: policy.name().to_owned(),
-        horizon,
-        optimal_mean: if horizon == 0 {
-            0.0
-        } else {
-            optimal_sum / horizon as f64
-        },
-        total_reward,
-        trace,
-    }
+    session.into_result(policy.name())
 }
 
 /// Runs several single-play policies against the *same* sample path: at every
@@ -218,88 +166,22 @@ pub fn run_combinatorial<P: CombinatorialPolicy + ?Sized>(
     horizon: usize,
     seed: u64,
 ) -> Result<RunResult, EnvError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let optimal = step::combinatorial_benchmark(bandit, family, scenario);
-    let mut trace = RegretTrace::with_capacity(horizon);
-    let mut total_reward = 0.0;
-    // Sample vector, observation set, observation list, and the selected
-    // strategy all live in reused buffers; the loop is allocation-free after
-    // round one.
-    let mut buf = PullBuffer::new();
-    let mut strategy = Vec::new();
-    for t in 1..=horizon {
-        policy.select_strategy_into(t, &mut strategy);
-        debug_assert!(
-            family.contains(&strategy, bandit.graph()),
-            "policy {} proposed an infeasible strategy {strategy:?}",
-            policy.name()
-        );
-        let feedback = buf.pull_strategy(bandit, &strategy, &mut rng)?;
-        let (reward, mean) = step::score_combinatorial(bandit, scenario, feedback);
-        total_reward += reward;
-        trace.record(optimal - reward, optimal - mean);
-        policy.update(t, feedback);
-    }
-    Ok(RunResult {
-        policy: policy.name().to_owned(),
-        horizon,
-        optimal_mean: optimal,
-        total_reward,
-        trace,
-    })
+    let session = Session::combinatorial(bandit, family, scenario, None, seed, horizon);
+    play_combinatorial(session, bandit, family, policy, horizon)
 }
 
-/// Runs a combinatorial policy for `horizon` slots in a drifting world; see
-/// [`run_single_drifted`] for the drift and regret semantics.
-///
-/// # Errors
-///
-/// Returns an [`EnvError`] if the policy ever proposes an invalid strategy
-/// (empty or referencing a non-existent arm).
-pub fn run_combinatorial_drifted<P: CombinatorialPolicy + ?Sized>(
+/// Plays `horizon` rounds of a combinatorial session and returns the run.
+pub(crate) fn play_combinatorial<P: CombinatorialPolicy + ?Sized>(
+    mut session: Session,
     bandit: &NetworkedBandit,
     family: &StrategyFamily,
-    drift: &DriftSchedule,
     policy: &mut P,
-    scenario: CombinatorialScenario,
     horizon: usize,
-    seed: u64,
 ) -> Result<RunResult, EnvError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let base = bandit.means().to_vec();
-    let mut means = vec![0.0; base.len()];
-    let mut optimal_sum = 0.0;
-    let mut trace = RegretTrace::with_capacity(horizon);
-    let mut total_reward = 0.0;
-    let mut buf = PullBuffer::new();
-    let mut strategy = Vec::new();
-    for t in 1..=horizon {
-        drift.means_at(&base, t as u64, &mut means);
-        let optimal = step::combinatorial_benchmark_with(bandit, family, &means, scenario);
-        optimal_sum += optimal;
-        policy.select_strategy_into(t, &mut strategy);
-        debug_assert!(
-            family.contains(&strategy, bandit.graph()),
-            "policy {} proposed an infeasible strategy {strategy:?}",
-            policy.name()
-        );
-        let feedback = buf.pull_strategy_drifted(bandit, &means, &strategy, &mut rng)?;
-        let (reward, mean) = step::score_combinatorial_with(&means, scenario, feedback);
-        total_reward += reward;
-        trace.record(optimal - reward, optimal - mean);
-        policy.update(t, feedback);
+    for _ in 0..horizon {
+        session.play_combinatorial(bandit, family, policy, true, |_| {})?;
     }
-    Ok(RunResult {
-        policy: policy.name().to_owned(),
-        horizon,
-        optimal_mean: if horizon == 0 {
-            0.0
-        } else {
-            optimal_sum / horizon as f64
-        },
-        total_reward,
-        trace,
-    })
+    Ok(session.into_result(policy.name()))
 }
 
 #[cfg(test)]
@@ -307,6 +189,7 @@ mod tests {
     use super::*;
     use netband_baselines::Moss;
     use netband_core::{DflCso, DflCsr, DflSso, DflSsr};
+    use netband_env::feasible::FeasibleSet;
     use netband_env::ArmSet;
     use netband_graph::generators;
 
@@ -434,72 +317,6 @@ mod tests {
         assert_eq!(result.trace.len(), 0);
         assert_eq!(result.total_regret(), 0.0);
         assert_eq!(result.average_regret(), 0.0);
-    }
-
-    #[test]
-    fn drifted_run_charges_regret_against_the_dynamic_oracle() {
-        use netband_env::{ChangePoint, DriftSchedule};
-        let env = bandit(6, 0.4, 21);
-        let drift = DriftSchedule {
-            change_points: vec![ChangePoint {
-                round: 100,
-                rotation: 3,
-            }],
-            ..DriftSchedule::default()
-        };
-        let mut policy = DflSso::new(env.graph().clone());
-        let result = run_single_drifted(
-            &env,
-            &drift,
-            &mut policy,
-            SingleScenario::SideObservation,
-            200,
-            22,
-        );
-        assert_eq!(result.trace.len(), 200);
-        // The dynamic oracle dominates every played arm round by round.
-        assert!(result.trace.pseudo().iter().all(|&r| r >= -1e-12));
-        // The reported benchmark is the average per-round optimum, which for a
-        // pure rotation equals the stationary optimum (the mean set is only
-        // permuted, never changed).
-        assert!((result.optimal_mean - env.best_single_direct_mean()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn drifted_runs_are_deterministic_under_the_same_seed() {
-        use netband_env::{DriftSchedule, GradualDrift};
-        let env = bandit(6, 0.4, 23);
-        let drift = DriftSchedule {
-            gradual: Some(GradualDrift {
-                amplitude: 0.2,
-                period: 50,
-            }),
-            ..DriftSchedule::default()
-        };
-        let family = StrategyFamily::at_most_m(6, 2);
-        let mut p1 = DflCsr::new(env.graph().clone(), family.clone());
-        let mut p2 = DflCsr::new(env.graph().clone(), family.clone());
-        let r1 = run_combinatorial_drifted(
-            &env,
-            &family,
-            &drift,
-            &mut p1,
-            CombinatorialScenario::SideReward,
-            150,
-            24,
-        )
-        .unwrap();
-        let r2 = run_combinatorial_drifted(
-            &env,
-            &family,
-            &drift,
-            &mut p2,
-            CombinatorialScenario::SideReward,
-            150,
-            24,
-        )
-        .unwrap();
-        assert_eq!(r1, r2);
     }
 
     #[test]

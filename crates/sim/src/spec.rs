@@ -1,8 +1,8 @@
 //! Spec-driven simulation entry points.
 //!
 //! These are the bridge between `netband-spec`'s declarative
-//! [`ScenarioSpec`] documents and the concrete runners in [`crate::runner`]:
-//! a spec is built into an environment/policy pair and then driven through
+//! [`ScenarioSpec`] documents and the round loop of [`crate::session`]: a
+//! spec is built into an environment/policy pair and then driven through
 //! **exactly** the same code path as a hand-wired run, so a spec-built run is
 //! bit-identical to its hand-wired counterpart (the golden-trace equivalence
 //! suite pins this).
@@ -20,10 +20,8 @@ use std::sync::Mutex;
 use netband_spec::{AnyPolicy, BuiltScenario, ScenarioSpec, SideBonus, SpecError};
 
 use crate::replicate::{replicate, AveragedRun, ReplicationConfig};
-use crate::runner::{
-    run_combinatorial, run_combinatorial_drifted, run_single, run_single_drifted,
-    CombinatorialScenario, RunResult, SingleScenario,
-};
+use crate::runner::{self, CombinatorialScenario, RunResult, SingleScenario};
+use crate::session::Session;
 
 /// The [`SingleScenario`] a side bonus selects for single-play policies.
 pub fn single_scenario(side_bonus: SideBonus) -> SingleScenario {
@@ -42,7 +40,7 @@ pub fn combinatorial_scenario(side_bonus: SideBonus) -> CombinatorialScenario {
     }
 }
 
-/// Runs an already-built scenario through the matching runner.
+/// Runs an already-built scenario, drift included, through a [`Session`].
 ///
 /// # Errors
 ///
@@ -51,48 +49,22 @@ pub fn combinatorial_scenario(side_bonus: SideBonus) -> CombinatorialScenario {
 /// which validates this), or [`SpecError::Env`] if the environment rejects a
 /// proposed strategy.
 pub fn run_built(built: &mut BuiltScenario) -> Result<RunResult, SpecError> {
-    let side_bonus = built.side_bonus;
-    let horizon = built.horizon;
-    let seed = built.seed;
-    // A declared-but-trivial drift schedule takes the stationary fast path,
-    // so `drift: {}` behaves (and scores) exactly like no drift at all.
-    let drift = built.drift.as_ref().filter(|d| !d.is_trivial());
+    let (bandit, horizon, seed) = (&built.bandit, built.horizon, built.seed);
+    let drift = built.drift.clone();
     match &mut built.policy {
-        AnyPolicy::Single(policy) => Ok(match drift {
-            Some(drift) => run_single_drifted(
-                &built.bandit,
-                drift,
-                policy,
-                single_scenario(side_bonus),
-                horizon,
-                seed,
-            ),
-            None => run_single(
-                &built.bandit,
-                policy,
-                single_scenario(side_bonus),
-                horizon,
-                seed,
-            ),
-        }),
+        AnyPolicy::Single(policy) => {
+            let scenario = single_scenario(built.side_bonus);
+            let session = Session::single(bandit, scenario, drift, seed, horizon);
+            Ok(runner::play_single(session, bandit, policy, horizon))
+        }
         AnyPolicy::Combinatorial(policy) => {
             let family = built.family.as_ref().ok_or(SpecError::MissingFamily {
                 policy: "combinatorial",
             })?;
-            let scenario = combinatorial_scenario(side_bonus);
-            match drift {
-                Some(drift) => run_combinatorial_drifted(
-                    &built.bandit,
-                    family,
-                    drift,
-                    policy,
-                    scenario,
-                    horizon,
-                    seed,
-                ),
-                None => run_combinatorial(&built.bandit, family, policy, scenario, horizon, seed),
-            }
-            .map_err(SpecError::Env)
+            let scenario = combinatorial_scenario(built.side_bonus);
+            let session = Session::combinatorial(bandit, family, scenario, drift, seed, horizon);
+            runner::play_combinatorial(session, bandit, family, policy, horizon)
+                .map_err(SpecError::Env)
         }
     }
 }
@@ -153,6 +125,7 @@ pub fn replicate_spec(spec: &ScenarioSpec) -> Result<AveragedRun, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_single;
     use netband_core::DflSso;
     use netband_spec::{
         presets, ArmsSpec, FamilySpec, FeedbackSpec, GraphSpec, PolicySpec, WorkloadSpec,

@@ -1,13 +1,14 @@
-//! Per-round reward/benchmark scoring shared by every driver.
+//! Per-round reward/benchmark scoring.
 //!
-//! A simulated round — and a served decision in `netband-serve` — is scored
-//! the same way: the realised reward collected under the scenario's reward
-//! model, and the expected per-round reward of the played action (for pseudo
-//! regret). These helpers are the single source of truth for those two
-//! numbers; the batch runner ([`crate::runner`]) and the serving engine both
-//! call them, which is what makes the engine's regret accounting bit-identical
-//! to the simulation's (the golden-trace suite pins the exact float
-//! expressions, summation order included).
+//! A round is scored by two numbers: the realised reward collected under the
+//! scenario's reward model, and the expected per-round reward of the played
+//! action (for pseudo regret). These helpers are the single source of truth
+//! for those numbers and for the benchmarks regret is charged against. Their
+//! callers are the [`Session`](crate::session::Session), which plays every
+//! simulated round and every served decision (and alone uses the `_with`
+//! variants), and the coupled driver
+//! [`run_single_coupled`](crate::runner::run_single_coupled). The golden-trace
+//! suite pins the exact float expressions, summation order included.
 
 use netband_env::{CombinatorialFeedback, NetworkedBandit, SinglePlayFeedback};
 
